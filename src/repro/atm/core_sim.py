@@ -70,19 +70,6 @@ def equilibrium_frequency_mhz(
     return 1.0e6 / cycle_ps
 
 
-def _probe_counters(obs):
-    """Resolve the ``probe.total`` / ``probe.failures`` counter handles.
-
-    Returns ``(None, None)`` when telemetry is off; the walk loops fetch
-    the pair once and thread it through every probe, keeping the hot-path
-    cost at two counter bumps instead of two registry lookups per probe.
-    """
-    if not obs.enabled:
-        return None, None
-    metrics = obs.metrics
-    return metrics.counter("probe.total"), metrics.counter("probe.failures")
-
-
 @dataclass(frozen=True)
 class ProbeResult:
     """Outcome of one safety probe of a (core, config, workload) triple."""
@@ -159,29 +146,6 @@ class SafetyProbe:
         Returns whether the run completed correctly; on failure, the result
         carries the sampled manifestation (crash / abnormal exit / SDC).
         """
-        obs = get_obs()
-        total, failures = _probe_counters(obs)
-        return self._probe_once(
-            core, reduction_steps, workload, obs, total, failures
-        )
-
-    def _probe_once(
-        self,
-        core: CoreSpec,
-        reduction_steps: int,
-        workload: Workload,
-        obs,
-        probe_total,
-        probe_failures,
-    ) -> ProbeResult:
-        """One probe with the observability context already resolved.
-
-        The walk loops below fetch the context — and the probe counter
-        handles, via :func:`_probe_counters` — once per call and thread
-        them through, so the per-probe telemetry cost is two counter
-        bumps plus (in event-capturing contexts) one fast-path emit,
-        rather than registry lookups and a frozen-dataclass construction.
-        """
         self._probe_count += 1
         slack = core.margin_slack_ps(reduction_steps, workload.stress)
         if self._noise_sigma_ps > 0.0:
@@ -191,24 +155,10 @@ class SafetyProbe:
         else:
             mode = self._failure_model.sample_mode(self._rng, -slack)
             result = ProbeResult(safe=False, slack_ps=slack, failure_mode=mode)
-        if self._recorder is not None:
-            self._recorder.record_probe(
-                core.label, workload.name, reduction_steps,
-                result.safe, result.slack_ps,
-            )
-        if probe_total is not None:
-            if obs.events_enabled:
-                obs.emit_new(
-                    CpmStepEvent,
-                    core_label=core.label,
-                    workload=workload.name,
-                    reduction_steps=reduction_steps,
-                    safe=result.safe,
-                    slack_ps=result.slack_ps,
-                )
-            probe_total.inc()
-            if not result.safe:
-                probe_failures.inc()
+        obs = get_obs()
+        if self._captures(obs):
+            self._capture(obs, core, workload, [reduction_steps], [slack])
+        _count_probes(obs, 1, 0 if result.safe else 1)
         return result
 
     def max_safe_reduction(
@@ -227,28 +177,49 @@ class SafetyProbe:
         which every repeat completed correctly.  (``start`` itself is
         assumed to have been validated by the previous, less aggressive
         characterization stage.)
+
+        The walk is one array pass: it draws the noise of every probe the
+        trial could run in one call, finds the first failing probe, then
+        rewinds the generator and redraws just the probes the step-by-step
+        walk would have run, so results, telemetry and the generator's
+        final state are exactly those of probing one run at a time.
         """
-        if not (0 <= start <= core.preset_code):
-            raise ConfigurationError(
-                f"{core.label}: start must be in [0, {core.preset_code}]"
-            )
-        if repeats_per_step < 1:
-            raise ConfigurationError("repeats_per_step must be >= 1")
+        _check_walk(core, start, repeats_per_step)
         obs = get_obs()
-        total, failures = _probe_counters(obs)
-        best = start
-        for steps in range(start + 1, core.preset_code + 1):
-            ok = True
-            for _ in range(repeats_per_step):
-                probe = self._probe_once(
-                    core, steps, workload, obs, total, failures
-                )
-                if not probe.safe:
-                    ok = False
-                    break
-            if not ok:
-                break
-            best = steps
+        top = core.preset_code
+        if start == top:
+            _count_probes(obs, 0, 0)
+            return start
+        rng = self._rng
+        sigma = self._noise_sigma_ps
+        # Probe j runs at reduction start + 1 + j // repeats_per_step.
+        shape = (top - start, repeats_per_step)
+        row = core.slack_row(workload.stress)[start + 1 :, None]
+        if sigma > 0.0:
+            saved = rng.bit_generator.state
+            slack = (row + rng.normal(0.0, sigma, size=shape)).ravel()
+        else:
+            slack = np.broadcast_to(row, shape).ravel()
+        safe = slack >= 0.0
+        first_bad = int(safe.argmin())
+        if safe[first_bad]:
+            probes, failures, best = slack.size, 0, top
+        else:
+            probes, failures = first_bad + 1, 1
+            best = start + first_bad // repeats_per_step
+            if sigma > 0.0 and probes < slack.size:
+                rng.bit_generator.state = saved
+                rng.normal(0.0, sigma, size=probes)
+            self._failure_model.sample_mode(rng, -float(slack[first_bad]))
+        self._probe_count += probes
+        if self._captures(obs):
+            steps = [
+                s for s in range(start + 1, best + 2) for _ in range(repeats_per_step)
+            ]
+            self._capture(
+                obs, core, workload, steps[:probes], slack[:probes].tolist()
+            )
+        _count_probes(obs, probes, failures)
         return best
 
     def rollback_to_safe(
@@ -265,24 +236,83 @@ class SafetyProbe:
         the workload passes ``repeats_per_step`` consecutive runs; returns
         the resulting reduction (possibly 0 — fully back at the preset).
         """
-        if not (0 <= start <= core.preset_code):
-            raise ConfigurationError(
-                f"{core.label}: start must be in [0, {core.preset_code}]"
-            )
-        obs = get_obs()
-        total, failures = _probe_counters(obs)
+        _check_walk(core, start, repeats_per_step)
+        row = core.slack_row(workload.stress).tolist()
+        rng = self._rng
+        sigma = self._noise_sigma_ps
+        sample_mode = self._failure_model.sample_mode
+        steps_run: list[int] = []
+        slacks: list[float] = []
+        failures = 0
+        safe_at = 0
         for steps in range(start, -1, -1):
-            ok = True
             for _ in range(repeats_per_step):
-                probe = self._probe_once(
-                    core, steps, workload, obs, total, failures
-                )
-                if not probe.safe:
-                    ok = False
+                slack = row[steps]
+                if sigma > 0.0:
+                    slack += rng.normal(0.0, sigma)
+                steps_run.append(steps)
+                slacks.append(slack)
+                if not slack >= 0.0:
+                    sample_mode(rng, -slack)
+                    failures += 1
                     break
-            if ok:
-                return steps
-        return 0
+            else:
+                safe_at = steps
+                break
+        self._probe_count += len(slacks)
+        obs = get_obs()
+        if self._captures(obs):
+            self._capture(obs, core, workload, steps_run, slacks)
+        _count_probes(obs, len(slacks), failures)
+        return safe_at
+
+    def _captures(self, obs) -> bool:
+        """Whether per-probe telemetry (recorder ops or events) is kept."""
+        return self._recorder is not None or obs.events_enabled
+
+    def _capture(
+        self, obs, core: CoreSpec, workload: Workload, steps, slacks
+    ) -> None:
+        """Per-probe telemetry, in probe order: ``steps[i]`` measured
+        ``slacks[i]``; one recorder op and one ``CpmStepEvent`` each."""
+        safe = [slack >= 0.0 for slack in slacks]
+        if self._recorder is not None:
+            self._recorder.record_probes(
+                core.label, workload.name, steps, safe, slacks
+            )
+        if obs.events_enabled:
+            for reduction, ok, slack in zip(steps, safe, slacks):
+                obs.emit_new(
+                    CpmStepEvent,
+                    core_label=core.label,
+                    workload=workload.name,
+                    reduction_steps=reduction,
+                    safe=ok,
+                    slack_ps=slack,
+                )
+
+
+def _count_probes(obs, probes: int, failures: int) -> None:
+    """Add one walk's probes to ``probe.total`` / ``probe.failures``.
+
+    One increment per walk leaves the registry exactly as one per probe
+    would (counters are plain sums).  Both counters are registered even
+    for an empty walk, as a per-probe walk registers them up front.
+    """
+    if obs.enabled:
+        metrics = obs.metrics
+        metrics.counter("probe.total").inc(probes)
+        metrics.counter("probe.failures").inc(failures)
+
+
+def _check_walk(core: CoreSpec, start: int, repeats_per_step: int) -> None:
+    """Validate the arguments shared by the two characterization walks."""
+    if not (0 <= start <= core.preset_code):
+        raise ConfigurationError(
+            f"{core.label}: start must be in [0, {core.preset_code}]"
+        )
+    if repeats_per_step < 1:
+        raise ConfigurationError("repeats_per_step must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -42,15 +42,6 @@ _EXCEPTIONS: dict[FailureMode, type[TimingViolation]] = {
     FailureMode.SILENT_DATA_CORRUPTION: SilentDataCorruption,
 }
 
-#: Index-to-mode order of :meth:`FailureModel.sample_mode` draws; matches
-#: the insertion order of :meth:`FailureModel.mode_probabilities`.
-_SAMPLE_ORDER = (
-    FailureMode.SYSTEM_CRASH,
-    FailureMode.ABNORMAL_EXIT,
-    FailureMode.SILENT_DATA_CORRUPTION,
-)
-
-
 @dataclass(frozen=True)
 class FailureModel:
     """Severity-biased sampler of failure manifestations.
@@ -97,15 +88,23 @@ class FailureModel:
         crash = 0.15 + 0.70 * severity
         sdc = 0.35 * (1.0 - severity)
         abnormal = 1.0 - crash - sdc
-        weights = np.array([crash, abnormal, sdc])
-        # Hand-inlined ``rng.choice(3, p=...)``: the same normalized-cdf
-        # searchsorted over the same single uniform draw, so the sampled
-        # index and the generator state after the call are bit-identical —
-        # only choice()'s per-call argument validation is skipped.
-        cdf = (weights / weights.sum()).cumsum()
-        cdf /= cdf[-1]
-        index = cdf.searchsorted(rng.random(), side="right")
-        return _SAMPLE_ORDER[int(index)]
+        # ``rng.choice(3, p=[crash, abnormal, sdc])`` in scalar floats:
+        # the normalized cdf it searches is built with the same operations
+        # in the same order (NumPy sums three weights left to right), a
+        # draw on a boundary goes to the later mode as its
+        # ``searchsorted(side="right")`` does, and it consumes the same
+        # single uniform draw, so the sampled mode and the generator state
+        # after the call are bit-identical.
+        total = crash + abnormal + sdc
+        p_crash = crash / total
+        cdf_abnormal = p_crash + abnormal / total
+        cdf_end = cdf_abnormal + sdc / total
+        draw = rng.random()
+        if draw < p_crash / cdf_end:
+            return FailureMode.SYSTEM_CRASH
+        if draw < cdf_abnormal / cdf_end:
+            return FailureMode.ABNORMAL_EXIT
+        return FailureMode.SILENT_DATA_CORRUPTION
 
     def to_exception(
         self, mode: FailureMode, core_id: str, deficit_ps: float

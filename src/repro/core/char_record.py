@@ -1,10 +1,11 @@
 """Characterization replay records for the persistent solve store.
 
-Characterization dominates fleet onboarding cost (~3 ms of the ~4.4 ms a
-chip costs end to end at ``trials=4``): hundreds of probe runs walk each
-core's limits, and every probe draws RNG noise, interpolates the stress
-curve, and bumps telemetry.  The probe *outcomes*, however, are a pure
-function of the chip's probe-visible physics (preset codes, step widths,
+Characterization is the largest stage of fleet onboarding (about 1.6 ms
+of the ~2.7 ms a chip costs end to end at ``trials=4``, single-threaded on
+a 2-vCPU x86-64 VM): hundreds of probe runs walk each core's limits, each
+trial seeding its own RNG stream and drawing noise for every probe.  The
+probe *outcomes*, however, are a pure function of the chip's
+probe-visible physics (preset codes, step widths,
 protection headroom, stress curves), the characterizer's RNG seed and
 parameters, and the workload suite — exactly the inputs
 :func:`char_key` hashes.  So a finished characterization can be stored
@@ -77,27 +78,40 @@ def _pad8(n: int) -> int:
 
 class CharRecorder:
     """Append-only log of the telemetry-visible characterization ops,
-    plus the per-trial outcome tables replay rebuilds the results from."""
+    plus the per-trial outcome tables replay rebuilds the results from.
 
-    __slots__ = ("_ops", "idle_outcomes", "ubench_rollbacks")
+    The log is kept as one list per :data:`OPS_DTYPE` column, extended a
+    whole probe walk at a time, so :meth:`encode` fills each column of
+    the packed array in one assignment.
+    """
+
+    __slots__ = (
+        "_op", "_core", "_workload", "_a", "_b", "_slack",
+        "idle_outcomes", "ubench_rollbacks",
+    )
 
     def __init__(self):
-        self._ops: list[tuple] = []
+        self._op: list[int] = []
+        self._core: list[str] = []
+        self._workload: list[str] = []
+        self._a: list[int] = []
+        self._b: list[int] = []
+        self._slack: list[float] = []
         self.idle_outcomes: dict[str, list[int]] = {}
         self.ubench_rollbacks: dict[str, list[int]] = {}
 
-    def record_probe(
-        self,
-        core_label: str,
-        workload_name: str,
-        reduction_steps: int,
-        safe: bool,
-        slack_ps: float,
+    def record_probes(
+        self, core_label: str, workload_name: str, steps, safe, slacks
     ) -> None:
-        self._ops.append(
-            (OP_PROBE, core_label, workload_name, reduction_steps,
-             1 if safe else 0, slack_ps)
-        )
+        """Log a walk's probes in order: ``steps[i]`` measured ``slacks[i]``
+        and was ``safe[i]``."""
+        n = len(steps)
+        self._op += [OP_PROBE] * n
+        self._core += [core_label] * n
+        self._workload += [workload_name] * n
+        self._a += steps
+        self._b += safe
+        self._slack += slacks
 
     def record_rollback(
         self,
@@ -106,9 +120,12 @@ class CharRecorder:
         from_steps: int,
         to_steps: int,
     ) -> None:
-        self._ops.append(
-            (OP_ROLLBACK, core_label, workload_name, from_steps, to_steps, 0.0)
-        )
+        self._op.append(OP_ROLLBACK)
+        self._core.append(core_label)
+        self._workload.append(workload_name)
+        self._a.append(from_steps)
+        self._b.append(to_steps)
+        self._slack.append(0.0)
 
     def record_idle_outcomes(self, core_label: str, outcomes) -> None:
         self.idle_outcomes[core_label] = [int(v) for v in outcomes]
@@ -116,33 +133,23 @@ class CharRecorder:
     def record_ubench_rollbacks(self, core_label: str, rollbacks) -> None:
         self.ubench_rollbacks[core_label] = [int(v) for v in rollbacks]
 
-    @property
-    def op_count(self) -> int:
-        return len(self._ops)
-
     def encode(self, *, labels, probe_count: int) -> bytes:
         """Pack the log plus outcome tables into a store payload."""
         labels = list(labels)
         idle_outcomes = self.idle_outcomes
         ubench_rollbacks = self.ubench_rollbacks
         label_index = {label: i for i, label in enumerate(labels)}
-        workloads: list[str] = []
-        workload_index: dict[str, int] = {}
-        ops = np.zeros(len(self._ops), dtype=OPS_DTYPE)
-        failures = 0
-        for row, (op, label, workload, a, b, slack) in enumerate(self._ops):
-            widx = workload_index.get(workload)
-            if widx is None:
-                widx = workload_index[workload] = len(workloads)
-                workloads.append(workload)
-            ops[row]["op"] = op
-            ops[row]["core"] = label_index[label]
-            ops[row]["widx"] = widx
-            ops[row]["a"] = a
-            ops[row]["b"] = b
-            ops[row]["slack"] = slack
-            if op == OP_PROBE and not b:
-                failures += 1
+        # Workload table in order of first appearance in the log.
+        workloads = list(dict.fromkeys(self._workload))
+        workload_index = {name: i for i, name in enumerate(workloads)}
+        ops = np.zeros(len(self._op), dtype=OPS_DTYPE)
+        ops["op"] = self._op
+        ops["core"] = [label_index[label] for label in self._core]
+        ops["widx"] = [workload_index[name] for name in self._workload]
+        ops["a"] = self._a
+        ops["b"] = self._b
+        ops["slack"] = self._slack
+        failures = int(np.count_nonzero((ops["op"] == OP_PROBE) & (ops["b"] == 0)))
         header = json.dumps(
             {
                 "labels": labels,
@@ -243,27 +250,12 @@ def replay_characterization(
                 )
     elif obs.enabled:
         # Counters are plain sums, so bulk increments leave the merged
-        # registry byte-identical to the per-probe path.  Rollback events
-        # still go through emit() exactly like the live loop (the sink —
-        # a NullSink in pool workers — decides whether they land).
+        # registry byte-identical to the per-probe path.
         metrics = obs.metrics
         if record["probes"]:
             metrics.counter("probe.total").inc(record["probes"])
         if record["failures"]:
             metrics.counter("probe.failures").inc(record["failures"])
-        workloads = record["workloads"]
-        ops = record["ops"]
-        for op in ops[ops["op"] == OP_ROLLBACK]:
-            obs.emit(
-                RollbackEvent(
-                    seq=0,
-                    core_label=labels[op["core"]],
-                    stage="ubench",
-                    workload=workloads[op["widx"]],
-                    from_steps=int(op["a"]),
-                    to_steps=int(op["b"]),
-                )
-            )
 
     idle: dict[str, IdleCharacterization] = {}
     ubench: dict[str, UbenchCharacterization] = {}

@@ -147,13 +147,38 @@ class Characterizer:
         self._recorder = recorder
         self._issued_probes: list[SafetyProbe] = []
 
+    @staticmethod
+    def _stream_name(stage: str, core_label: str, trial: int) -> str:
+        return f"characterize.{stage}.{core_label}.{trial}"
+
     def _probe(self, stage: str, core_label: str, trial: int) -> SafetyProbe:
-        rng = self._streams.stream(f"characterize.{stage}.{core_label}.{trial}")
+        rng = self._streams.stream(self._stream_name(stage, core_label, trial))
         probe = SafetyProbe(
             rng, noise_sigma_ps=self._noise_sigma_ps, recorder=self._recorder
         )
         self._issued_probes.append(probe)
         return probe
+
+    def prepare_streams(
+        self, cores: Sequence[CoreSpec], stages: Sequence[str]
+    ) -> None:
+        """Create the trial streams of ``stages`` × ``cores`` in one batch.
+
+        Stage names are those of the stage methods' streams (``"idle"``,
+        ``"ubench"``, ``"app.<name>"``).  Every stream is what the stage
+        would have created on first use, and a stream that already exists
+        keeps its position, so calling this changes no draw; it only
+        replaces per-trial seeding with one batched pass
+        (:meth:`repro.rng.RngStreams.streams`).
+        """
+        self._streams.streams(
+            [
+                self._stream_name(stage, core.label, trial)
+                for core in cores
+                for stage in stages
+                for trial in range(self._trials)
+            ]
+        )
 
     @property
     def total_probe_count(self) -> int:
@@ -212,7 +237,7 @@ class Characterizer:
                         self._recorder.record_rollback(
                             core.label, program.name, worst_safe, safe
                         )
-                    if obs.enabled:
+                    if obs.events_enabled:
                         obs.emit(
                             RollbackEvent(
                                 seq=0,
@@ -250,7 +275,7 @@ class Characterizer:
             safe = probe.rollback_to_safe(
                 core, app, start=ubench_limit, repeats_per_step=self._repeats
             )
-            if safe < ubench_limit and obs.enabled:
+            if safe < ubench_limit and obs.events_enabled:
                 obs.emit(
                     RollbackEvent(
                         seq=0,
@@ -310,6 +335,9 @@ class Characterizer:
         app_results: dict[tuple[str, str], AppCharacterization] = {}
         limits: dict[str, CoreLimits] = {}
 
+        self.prepare_streams(
+            chip.cores, ("idle", "ubench", *(f"app.{app.name}" for app in apps))
+        )
         obs = get_obs()
         for core in chip.cores:
             with obs.tracer.span("characterize.core", core=core.label):

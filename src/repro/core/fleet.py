@@ -315,6 +315,7 @@ def _characterize_chip(
         noise_sigma_ps=noise_sigma_ps,
         recorder=recorder,
     )
+    characterizer.prepare_streams(chip.cores, ("idle", "ubench"))
     idle = {
         core.label: characterizer.characterize_idle(core)
         for core in chip.cores

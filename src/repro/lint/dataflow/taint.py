@@ -14,7 +14,7 @@ Taint sources (the value is an unseeded / process-seeded generator):
   ``random.random()``, ...);
 * ``os.urandom`` / the ``secrets`` module.
 
-Clean by construction: ``RngStreams.stream/fresh/spawn`` results (matched
+Clean by construction: ``RngStreams.stream/streams/fresh/spawn`` results (matched
 both by resolution and by attribute name, so ``streams.stream("x")``
 stays clean behind any alias) and generators seeded from a ``seed``
 parameter or constant.
@@ -51,7 +51,7 @@ _ALWAYS_TAINTED_PREFIXES = ("numpy.random.", "random.", "secrets.")
 _ALWAYS_TAINTED_EXACT = frozenset({"os.urandom", "uuid.uuid4"})
 
 #: Attribute names that mint named deterministic streams (RngStreams API).
-_CLEAN_STREAM_ATTRS = frozenset({"stream", "fresh", "spawn"})
+_CLEAN_STREAM_ATTRS = frozenset({"stream", "streams", "fresh", "spawn"})
 
 #: An anchored message (rule id added by RL010).
 RawFinding = tuple[str, int, int, str]

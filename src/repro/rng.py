@@ -16,7 +16,9 @@ Usage::
 
 from __future__ import annotations
 
+import functools
 import zlib
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -30,6 +32,115 @@ def _derive_seed(root_seed: int, name: str) -> int:
     salted per-process and would break reproducibility across runs.
     """
     return (root_seed * 0x9E3779B1 + zlib.crc32(name.encode("utf-8"))) % (2**32)
+
+
+# numpy's SeedSequence (O'Neill's seed_seq: 32-bit words, a 4-word pool)
+# as array arithmetic; _pcg64_state_words replays it for many seeds.
+_MASK32 = 0xFFFFFFFF
+_XSHIFT = 16
+_POOL_SIZE = 4
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+
+
+def _hash_walk(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The xor and multiplier constants of ``count`` SeedSequence hashes.
+
+    Each hash xors the value with the running constant, advances the
+    constant by ``mult`` and multiplies the value by the new constant;
+    the two columns come back shaped ``(count, 1)`` to broadcast over
+    seeds.
+    """
+    xors, mults = [], []
+    const = init
+    for _ in range(count):
+        xors.append(const)
+        const = (const * mult) & _MASK32
+        mults.append(const)
+    return (
+        np.array(xors, dtype=np.uint32)[:, None],
+        np.array(mults, dtype=np.uint32)[:, None],
+    )
+
+
+def _hash(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    value = value ^ xor
+    value *= mult
+    value ^= value >> _XSHIFT
+    return value
+
+
+#: Hashes in SeedSequence order: pool fill, then for each source word the
+#: mix into every other word, then the 8 words of generate_state(4, u64).
+_MIX_XOR, _MIX_MULT = _hash_walk(0x43B0D7E5, 0x931E8875, _POOL_SIZE * _POOL_SIZE)
+_STATE_XOR, _STATE_MULT = _hash_walk(0x8B51F9DD, 0x58F38DED, 2 * _POOL_SIZE)
+#: ``(source word, destination words)`` of each mixing round.
+_MIX_ROUNDS = tuple(
+    (src, [dst for dst in range(_POOL_SIZE) if dst != src])
+    for src in range(_POOL_SIZE)
+)
+
+
+def _pcg64_state_words(seeds: np.ndarray) -> np.ndarray:
+    """``SeedSequence(s).generate_state(4, np.uint64)`` for every seed.
+
+    ``seeds`` is a uint32 array; each ``_derive_seed`` value is one
+    entropy word, so row ``i`` of the result is the state the PCG64 of
+    ``np.random.default_rng(seeds[i])`` seeds itself from.  The uint32
+    arithmetic wraps exactly like SeedSequence's.  The three mixes of one
+    source word read the same value, so each round is one array op per
+    step over all seeds and destinations.
+    """
+    pool = np.zeros((_POOL_SIZE, len(seeds)), dtype=np.uint32)
+    pool[0] = seeds
+    pool = _hash(pool, _MIX_XOR[:_POOL_SIZE], _MIX_MULT[:_POOL_SIZE])
+    step = _POOL_SIZE
+    for src, dsts in _MIX_ROUNDS:
+        hashed = _hash(
+            pool[src],
+            _MIX_XOR[step : step + len(dsts)],
+            _MIX_MULT[step : step + len(dsts)],
+        )
+        step += len(dsts)
+        mixed = pool[dsts] * _MIX_MULT_L
+        mixed -= hashed * _MIX_MULT_R
+        mixed ^= mixed >> _XSHIFT
+        pool[dsts] = mixed
+    words = _hash(np.concatenate([pool, pool]), _STATE_XOR, _STATE_MULT)
+    # Pairs of uint32 words viewed as uint64, as generate_state views them.
+    return np.ascontiguousarray(words.T).view(np.uint64)
+
+
+class _StateWords:
+    """A seed sequence whose PCG64 state words were derived ahead of time.
+
+    ``PCG64`` seeds itself by asking its seed sequence for four uint64
+    words; handing over the words ``SeedSequence`` would produce builds
+    the same generator without rerunning the hash for each stream.
+    """
+
+    def __init__(self, words: np.ndarray):
+        self._words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != len(self._words) or np.dtype(dtype) != np.uint64:
+            raise ConfigurationError(
+                "precomputed seed words serve only PCG64 seeding"
+            )
+        return self._words
+
+
+@functools.cache
+def _state_words_type() -> type:
+    """:class:`_StateWords`, registered as numpy's ``ISeedSequence``.
+
+    Registered on first use rather than subclassed: ``numpy.random``
+    loads lazily, and importing its ``bit_generator`` module here would
+    load it into every process that imports this package.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    return ISeedSequence.register(_StateWords)
 
 
 class RngStreams:
@@ -64,6 +175,29 @@ class RngStreams:
         if name not in self._streams:
             self._streams[name] = np.random.default_rng(_derive_seed(self._seed, name))
         return self._streams[name]
+
+    def streams(self, names: Sequence[str]) -> list[np.random.Generator]:
+        """Batched :meth:`stream`: the generator of each name, in order.
+
+        A name that already has a stream keeps its generator and its
+        position.  The others are created together: their seeds' PCG64
+        state words come from one vectorized pass, so each new generator
+        is bit-identical to the one :meth:`stream` would build, without
+        paying ``default_rng``'s per-stream seeding.
+        """
+        if not all(names):
+            raise ConfigurationError("stream name must be non-empty")
+        missing = [name for name in dict.fromkeys(names) if name not in self._streams]
+        if missing:
+            seeds = np.array(
+                [_derive_seed(self._seed, name) for name in missing], dtype=np.uint32
+            )
+            state_words = _state_words_type()
+            for name, words in zip(missing, _pcg64_state_words(seeds)):
+                self._streams[name] = np.random.Generator(
+                    np.random.PCG64(state_words(words))
+                )
+        return [self._streams[name] for name in names]
 
     def fresh(self, name: str) -> np.random.Generator:
         """Return a brand-new generator for ``name``, restarting its sequence.

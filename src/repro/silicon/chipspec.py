@@ -199,7 +199,7 @@ class CoreSpec:
             cumsum.append(cumsum[-1] + width)
         object.__setattr__(self, "_insert_cumsum_ps", tuple(cumsum))
         object.__setattr__(self, "_protection_cache", {})
-        object.__setattr__(self, "_slack_cache", {})
+        object.__setattr__(self, "_slack_rows", {})
 
     # -- inserted-delay geometry -------------------------------------------
 
@@ -268,21 +268,33 @@ class CoreSpec:
         configuration violates timing by that many picoseconds (before
         measurement noise).
         """
-        # Characterization walks re-evaluate the same (steps, stress) pairs
-        # tens of thousands of times; memoize like required_protection_ps.
-        # The cached entry is produced by the identical expression below,
-        # and only valid inputs are ever cached (invalid ones raise first).
-        key = (reduction_steps, stress)
-        cached = self._slack_cache.get(key)
-        if cached is not None:
-            return cached
-        value = (
-            self.protection_headroom_ps
-            - self.reduction_ps(reduction_steps)
-            - self.required_protection_ps(stress)
-        )
-        self._slack_cache[key] = value
-        return value
+        if not (0 <= reduction_steps <= self.preset_code):
+            raise ConfigurationError(
+                f"{self.label}: steps must be in [0, {self.preset_code}], "
+                f"got {reduction_steps}"
+            )
+        return float(self.slack_row(stress)[reduction_steps])
+
+    def slack_row(self, stress: float) -> np.ndarray:
+        """:meth:`margin_slack_ps` for every reduction ``0..preset_code``.
+
+        Element ``k`` is ``headroom - (cum[p] - cum[p - k]) - requirement``
+        over the inserted-delay prefix sums, evaluated in the same order
+        as the scalar ``headroom - reduction_ps(k) - requirement``, so each
+        element is bit-identical to it.  Characterization walks read these
+        rows millions of times, so each is built once per stress level and
+        cached read-only.
+        """
+        row = self._slack_rows.get(stress)
+        if row is None:
+            requirement = self.required_protection_ps(stress)
+            cum = np.array(self._insert_cumsum_ps[: self.preset_code + 1])
+            row = (
+                self.protection_headroom_ps - (cum[-1] - cum[::-1]) - requirement
+            )
+            row.flags.writeable = False
+            self._slack_rows[stress] = row
+        return row
 
     def max_safe_reduction(self, stress: float) -> int:
         """Largest noise-free safe reduction under ``stress`` (may be 0)."""

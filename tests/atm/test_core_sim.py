@@ -110,6 +110,25 @@ class TestSafetyProbe:
         with pytest.raises(ConfigurationError):
             probe.max_safe_reduction(core, IDLE, start=core.preset_code + 1)
 
+    @pytest.mark.parametrize("repeats", [0, -1])
+    @pytest.mark.parametrize("walk", ["max_safe_reduction", "rollback_to_safe"])
+    def test_repeats_validated(self, testbed, walk, repeats):
+        core = testbed.chips[0].cores[0]
+        probe = SafetyProbe(np.random.default_rng(0))
+        with pytest.raises(ConfigurationError):
+            getattr(probe, walk)(core, X264, start=3, repeats_per_step=repeats)
+        assert probe.probe_count == 0
+
+    def test_walk_from_the_preset_top_runs_no_probe(self, testbed):
+        core = testbed.chips[0].cores[0]
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        probe = SafetyProbe(rng)
+        top = core.preset_code
+        assert probe.max_safe_reduction(core, IDLE, start=top) == top
+        assert probe.probe_count == 0
+        assert rng.bit_generator.state == before
+
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=1000))
     def test_limit_ordering_under_any_seed(self, testbed, seed):

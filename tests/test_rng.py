@@ -1,9 +1,13 @@
 """Tests for deterministic RNG stream management."""
 
+import pickle
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
-from repro.rng import RngStreams
+from repro.rng import RngStreams, _derive_seed, _pcg64_state_words
 
 
 class TestReproducibility:
@@ -44,6 +48,69 @@ class TestStreamIdentity:
         streams.stream("x").random(10)  # advance
         restarted = streams.fresh("x").random(4)
         assert (first == restarted).all()
+
+
+class TestBatchedStreams:
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1])
+    def test_state_words_match_seed_sequence(self, seed):
+        words = _pcg64_state_words(np.array([seed], dtype=np.uint32))
+        expected = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+        assert words.dtype == np.uint64
+        assert words[0].tolist() == expected.tolist()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        root=st.sampled_from([0, 2019, 2**32 - 1]),
+        names=st.lists(
+            st.text(min_size=1, max_size=24), min_size=1, max_size=12, unique=True
+        ),
+    )
+    def test_batch_equals_default_rng(self, root, names):
+        generators = RngStreams(root).streams(names)
+        assert len(generators) == len(names)
+        for name, generator in zip(names, generators):
+            expected = np.random.default_rng(_derive_seed(root, name))
+            assert generator.bit_generator.state == expected.bit_generator.state
+            assert generator.normal(size=3).tolist() == expected.normal(
+                size=3
+            ).tolist()
+
+    def test_batch_matches_one_at_a_time(self):
+        names = [f"characterize.idle.P0C{core}.{trial}" for core in range(8)
+                 for trial in range(4)]
+        batched = RngStreams(7).streams(names)
+        single = RngStreams(7)
+        for name, generator in zip(names, batched):
+            assert (
+                generator.bit_generator.state
+                == single.stream(name).bit_generator.state
+            )
+
+    def test_existing_streams_keep_identity_and_position(self):
+        streams = RngStreams(5)
+        existing = streams.stream("a")
+        existing.random(3)
+        position = existing.bit_generator.state
+        got = streams.streams(["b", "a", "c"])
+        assert got[1] is existing
+        assert existing.bit_generator.state == position
+        assert streams.stream("b") is got[0]
+        assert streams.stream("c") is got[2]
+
+    def test_batched_generator_pickles(self):
+        generator = RngStreams(3).streams(["a"])[0]
+        generator.normal(size=3)
+        restored = pickle.loads(pickle.dumps(generator))
+        assert restored.bit_generator.state == generator.bit_generator.state
+        assert restored.normal() == generator.normal()
+
+    def test_repeated_names_share_one_generator(self):
+        first, second = RngStreams(5).streams(["x", "x"])
+        assert first is second
+
+    def test_empty_name_rejected(self):
+        with pytest.raises(ConfigurationError):
+            RngStreams(0).streams(["ok", ""])
 
 
 class TestSpawn:

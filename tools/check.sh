@@ -203,6 +203,11 @@ rm -rf "$flame_tmp"
 echo "== tier-1 pytest =="
 python -m pytest -x -q || failures=$((failures + 1))
 
+echo "== e2e benchmark harness tests =="
+# Tier-1 collects only tests/; the benchmark taps repro entry points by
+# name (benchmarks/e2e/spans.py), so renaming one must fail here.
+python -m pytest -q benchmarks/e2e || failures=$((failures + 1))
+
 if [ "$failures" -ne 0 ]; then
     echo "FAILED: $failures check(s) failed"
     exit 1
