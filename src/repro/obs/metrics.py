@@ -375,10 +375,21 @@ class MetricsRegistry:
             )
         return instrument
 
+    # Each getter first returns an existing instrument of exactly its
+    # class straight from the dict: hot paths look counters up once per
+    # walk.  New names, empty names and kind mismatches take
+    # _get_or_create, which creates or raises.
+
     def counter(self, name: str) -> Counter:
+        instrument = self._instruments.get(name)
+        if type(instrument) is Counter:
+            return instrument
         return self._get_or_create(name, lambda: Counter(name), Counter)
 
     def gauge(self, name: str) -> Gauge:
+        instrument = self._instruments.get(name)
+        if type(instrument) is Gauge:
+            return instrument
         return self._get_or_create(
             name, lambda: Gauge(name, mode=self._gauge_mode), Gauge
         )
@@ -386,6 +397,9 @@ class MetricsRegistry:
     def histogram(
         self, name: str, buckets: Sequence[float] = DEFAULT_BUCKETS
     ) -> Histogram:
+        instrument = self._instruments.get(name)
+        if type(instrument) is Histogram:
+            return instrument
         return self._get_or_create(name, lambda: Histogram(name, buckets), Histogram)
 
     def names(self) -> tuple[str, ...]:

@@ -7,16 +7,22 @@ sinks ship:
   interactive inspection without touching disk;
 * :class:`JsonlFileSink` — one canonical JSON object per line.  The
   serialization is deterministic (sorted keys, no timestamps), so two runs
-  with the same seed produce byte-identical files.
+  with the same seed produce byte-identical files.  Lines come from
+  :func:`event_to_json_line`, a per-event-class codec that writes exactly
+  what ``json.dumps`` would.
 
 ``read_jsonl`` is the inverse of the file sink and powers ``repro trace``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
+from json.encoder import encode_basestring_ascii
+from math import isfinite
+from operator import itemgetter
 from pathlib import Path
 
 from ..errors import ConfigurationError
@@ -93,11 +99,112 @@ class NullSink(EventSink):
         self._count += 1
 
 
-def event_to_json_line(event: ObsEvent) -> str:
-    """Canonical single-line JSON form of ``event`` (sorted keys)."""
-    return json.dumps(
-        event_to_dict(event), sort_keys=True, separators=(",", ":")
+#: The canonical line's definition, and the codec's fallback encoder:
+#: ``json.dumps(event_to_dict(e), sort_keys=True, separators=(",", ":"))``.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+#: Most distinct strings the literal memo keeps.  A run has a few dozen
+#: (core labels, workload names, stages); beyond the limit strings are
+#: still encoded, just not remembered.
+_STR_MEMO_LIMIT = 1024
+
+
+class _StrLiterals(dict):
+    """Bounded memo: ``str`` value → its JSON literal."""
+
+    def __missing__(self, value: str) -> str:
+        literal = encode_basestring_ascii(value)
+        if len(self) < _STR_MEMO_LIMIT:
+            self[value] = literal
+        return literal
+
+
+def _float_literal(value: float) -> str:
+    """``value`` as ``json`` writes it: its repr, or NaN/Infinity/-Infinity."""
+    if isfinite(value):
+        return repr(value)
+    if value != value:
+        return "NaN"
+    return "Infinity" if value > 0.0 else "-Infinity"
+
+
+#: Exact value type → renderer of its JSON literal, byte-for-byte what the
+#: ``json`` encoder writes for that type (``repr`` of an exact ``int`` is
+#: ``int.__repr__``).  Any other type (a subclass such as ``np.float64``
+#: or an ``IntEnum``, or a type ``json`` rejects) is not a key here, so
+#: its event takes the fallback encoder.
+_LITERALS = {
+    str: _StrLiterals().__getitem__,
+    int: repr,
+    float: _float_literal,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _fallback_line(event: ObsEvent) -> str:
+    return _CANONICAL.encode(event_to_dict(event))
+
+
+def _line_encoder(cls: type[ObsEvent]) -> Callable[[ObsEvent], str]:
+    """Build the canonical-line encoder for events of class ``cls``.
+
+    The line is a ``%`` template with every ``"key":`` prefix and the
+    ``"type"`` member pre-rendered in sorted key order, filled with one
+    literal per declared field.  An instance whose ``__dict__`` is not
+    exactly the declared fields, or that holds a value whose exact type
+    has no renderer, is encoded by the fallback instead, so every line
+    (and every serialization error) is the one ``json`` produces.
+    """
+    names = [field.name for field in dataclasses.fields(cls)]
+    if "type" in names:  # event_to_dict's discriminator overwrites the field
+        return _fallback_line
+    keys = sorted([*names, "type"])
+    # Field names are identifiers; only the class name may hold a "%".
+    type_member = f'"type":{encode_basestring_ascii(cls.__name__)}'.replace("%", "%%")
+    template = "{%s}" % ",".join(
+        type_member if key == "type" else f"{encode_basestring_ascii(key)}:%s"
+        for key in keys
     )
+    ordered = [key for key in keys if key != "type"]
+    size = len(ordered)
+    # itemgetter returns a bare value, not a 1-tuple, for a single key.
+    fields_of = itemgetter(*ordered) if size > 1 else lambda d: (d[ordered[0]],)
+
+    def encode(event: ObsEvent) -> str:
+        values = event.__dict__
+        if len(values) == size:
+            try:
+                return template % tuple(
+                    [_LITERALS[type(v)](v) for v in fields_of(values)]
+                )
+            except KeyError:  # a field is missing, or a value type has no renderer
+                pass
+        return _fallback_line(event)
+
+    return encode
+
+
+class _LineEncoders(dict):
+    """Event class → its canonical-line encoder, built on first use."""
+
+    def __missing__(self, cls: type[ObsEvent]) -> Callable[[ObsEvent], str]:
+        encoder = self[cls] = _line_encoder(cls)
+        return encoder
+
+
+_ENCODERS = _LineEncoders()
+
+
+def event_to_json_line(event: ObsEvent) -> str:
+    """Canonical single-line JSON form of ``event`` (sorted keys).
+
+    Byte-identical to ``json.dumps(event_to_dict(event), sort_keys=True,
+    separators=(",", ":"))``, computed by a per-class codec (see
+    :func:`_line_encoder`) that skips building an encoder, copying the
+    instance dict and sorting its keys for every event.
+    """
+    return _ENCODERS[type(event)](event)
 
 
 class JsonlFileSink(EventSink):
@@ -126,8 +233,7 @@ class JsonlFileSink(EventSink):
     def emit(self, event: ObsEvent) -> None:
         if self._closed:
             raise ConfigurationError(f"sink {self._path} is closed")
-        self._handle.write(event_to_json_line(event))
-        self._handle.write("\n")
+        self._handle.write(event_to_json_line(event) + "\n")
         self._count += 1
 
     def close(self) -> None:

@@ -103,7 +103,7 @@ class RotatingJsonlSink(EventSink):
         name = self._segment_name(len(self._segments))
         target = self._logical.with_name(name)
         try:
-            self._handle = target.open("w", encoding="utf-8")
+            self._handle = target.open("wb")
         except OSError as exc:
             raise ConfigurationError(
                 f"cannot open event segment {target}: {exc}"
@@ -112,7 +112,6 @@ class RotatingJsonlSink(EventSink):
         self._segment_count = 0
 
     def _finish_segment(self) -> None:
-        assert self._handle is not None
         self._handle.close()
         self._segments.append(
             {
@@ -124,11 +123,16 @@ class RotatingJsonlSink(EventSink):
         self._handle = None
 
     def emit(self, event: ObsEvent) -> None:
-        if self._closed:
-            raise ConfigurationError(f"sink {self._logical} is closed")
+        handle = self._handle
+        if handle is None:
+            raise ConfigurationError(
+                f"sink {self._logical} is closed"
+                if self._closed
+                else f"sink {self._logical} has no open segment: "
+                f"opening {self._segment_name(len(self._segments))} failed"
+            )
         data = (event_to_json_line(event) + "\n").encode("utf-8")
-        assert self._handle is not None
-        self._handle.write(data.decode("utf-8"))
+        handle.write(data)
         self._segment_hash.update(data)
         self._combined.update(data)
         self._segment_count += 1
@@ -138,9 +142,15 @@ class RotatingJsonlSink(EventSink):
             self._open_segment()
 
     def close(self) -> None:
+        """Finish the open segment, if any, and write the index.
+
+        After a segment failed to open, the index covers the segments
+        finished before it, which hold every event written.
+        """
         if self._closed:
             return
-        self._finish_segment()
+        if self._handle is not None:
+            self._finish_segment()
         index = {
             "kind": "jsonl_segments",
             "schema": SEGMENT_INDEX_SCHEMA,

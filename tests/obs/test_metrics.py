@@ -95,6 +95,38 @@ class TestMetricsRegistry:
         with pytest.raises(ConfigurationError):
             registry.gauge("a")
 
+    @pytest.mark.parametrize("kind", ["gauge", "histogram"])
+    def test_get_or_create_returns_same_gauge_or_histogram(self, kind):
+        registry = MetricsRegistry()
+        getter = getattr(registry, kind)
+        assert getter("a") is getter("a")
+        assert len(registry) == 1
+
+    @pytest.mark.parametrize(
+        "registered, requested",
+        [
+            ("counter", "gauge"), ("counter", "histogram"),
+            ("gauge", "counter"), ("gauge", "histogram"),
+            ("histogram", "counter"), ("histogram", "gauge"),
+        ],
+    )
+    def test_kind_mismatch_message(self, registered, requested):
+        registry = MetricsRegistry()
+        original = getattr(registry, registered)("a")
+        expected = f"a is a {registered.title()}, not a {requested.title()}"
+        with pytest.raises(ConfigurationError, match=f"^{expected}$"):
+            getattr(registry, requested)("a")
+        assert getattr(registry, registered)("a") is original
+
+    @pytest.mark.parametrize("kind", ["counter", "gauge", "histogram"])
+    def test_empty_name_message(self, kind):
+        registry = MetricsRegistry()
+        with pytest.raises(
+            ConfigurationError, match="^instrument name must be non-empty$"
+        ):
+            getattr(registry, kind)("")
+        assert len(registry) == 0
+
     def test_names_sorted(self):
         registry = MetricsRegistry()
         registry.counter("z")

@@ -14,6 +14,7 @@ import json
 
 import pytest
 
+from repro.cli import main
 from repro.core.fleet import run_fleet_observed
 from repro.errors import ConfigurationError
 from repro.obs.analyze.diff import diff_manifests, diff_streams
@@ -105,6 +106,66 @@ class TestRotatingSink:
             handle.write("{broken\n")
         with pytest.raises(ConfigurationError):
             read_jsonl_documents(logical, tolerant=True)
+
+
+class TestFailedSegmentOpen:
+    """A segment that cannot be opened ends the stream cleanly: the error
+    reaches the caller, and the index covers the segments on disk."""
+
+    @staticmethod
+    def _block_second_segment(logical):
+        # A directory where the second segment file would be created.
+        logical.with_name(logical.name + ".seg0001").mkdir(parents=True)
+
+    def test_sink_keeps_the_finished_segments(self, tmp_path):
+        logical = tmp_path / "run.events.jsonl"
+        self._block_second_segment(logical)
+        sink = RotatingJsonlSink(logical, max_events_per_segment=2)
+        obs = Observability(sink)
+
+        def emit():
+            obs.emit_new(
+                CpmStepEvent, core_label="c0", workload="idle",
+                reduction_steps=1, safe=True, slack_ps=0.5,
+            )
+
+        emit()
+        with pytest.raises(ConfigurationError, match="cannot open event segment"):
+            emit()  # fills seg0000, then rotating to seg0001 fails
+        with pytest.raises(ConfigurationError, match="no open segment"):
+            emit()
+        sink.close()
+        with pytest.raises(ConfigurationError, match="is closed"):
+            emit()
+
+        digest, count = segmented_events_sha256(segment_index_path(logical))
+        assert count == sink.count == 2
+        assert sink.segment_count == 1
+        first = tmp_path / "run.events.jsonl.seg0000"
+        assert digest == hashlib.sha256(first.read_bytes()).hexdigest()
+        lines = first.read_bytes().splitlines()
+        assert [json.loads(line)["seq"] for line in lines] == [0, 1]
+
+    def test_fleet_run_raises_the_open_error(self, tmp_path):
+        self._block_second_segment(tmp_path / "fleet.events.jsonl")
+        with pytest.raises(ConfigurationError, match="cannot open event segment"):
+            run_fleet_observed(
+                2, out_dir=tmp_path, seed=SEED, trials=2, n_cores=2,
+                segment_events=2,
+            )
+        _, count = segmented_events_sha256(
+            segment_index_path(tmp_path / "fleet.events.jsonl")
+        )
+        assert count == 2
+
+    def test_cli_exits_1(self, tmp_path, capsys):
+        self._block_second_segment(tmp_path / "fleet.events.jsonl")
+        code = main([
+            "fleet", "characterize", "--chips", "2", "--trials", "2",
+            "--cores", "2", "--segment-events", "2", "--out", str(tmp_path),
+        ])
+        assert code == 1
+        assert "cannot open event segment" in capsys.readouterr().err
 
 
 class TestSegmentedFleetRoundTrip:

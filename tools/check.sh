@@ -174,6 +174,22 @@ else
 fi
 rm -rf "$obs_tmp"
 
+echo "== repro obs diff (single-file vs segmented fleet stream) =="
+# Both fleet JSONL sinks, end to end: a rotated stream must be the same
+# run as the single file (same manifest, same events).
+fleet_obs_tmp="$(mktemp -d)"
+if python -m repro fleet characterize --chips 8 --trials 2 --cores 4 \
+        --out "$fleet_obs_tmp/a" >/dev/null \
+        && python -m repro fleet characterize --chips 8 --trials 2 --cores 4 \
+        --segment-events 64 --out "$fleet_obs_tmp/b" >/dev/null \
+        && python -m repro obs diff "$fleet_obs_tmp/a" "$fleet_obs_tmp/b" \
+        >/dev/null; then
+    echo "fleet sink diff ok"
+else
+    failures=$((failures + 1))
+fi
+rm -rf "$fleet_obs_tmp"
+
 echo "== repro obs flame (smoke) =="
 # table1 is the cheapest experiment that emits SpanEvents; both export
 # formats must produce valid JSON with at least one span.
