@@ -278,9 +278,10 @@ class ChipSim:
         Stacks the rows into (K, n_cores) matrices and iterates them as one
         batch with masked per-row convergence; rows already memoized by the
         solve cache are answered without touching the solver.  Results come
-        back in input order.  The cache/metrics orchestration is shared with
-        the fleet-scale :func:`repro.fastpath.population.solve_population`,
-        which batches many chips' rows with this exact per-chip contract.
+        back in input order.  The memo/metrics orchestration
+        (:func:`repro.fastpath.population.solve_chips_cached`) is shared
+        with the fleet-scale :func:`repro.fastpath.population.solve_population`,
+        which batches many chips' rows into one solve.
         """
         from ..fastpath.population import solve_chips_cached
 

@@ -204,7 +204,6 @@ def _cmd_fleet_characterize(args: argparse.Namespace) -> int:
         n_cores=args.cores,
         mode=MarginMode(args.mode),
         reduction_steps=args.reduction,
-        population=not args.chip_loop,
         jobs=args.jobs,
         progress=progress,
         tsdb=tsdb,
@@ -954,10 +953,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fchar.add_argument(
         "--reduction", type=int, default=0,
         help="uniform CPM reduction of the baseline row (ATM mode only)",
-    )
-    p_fchar.add_argument(
-        "--chip-loop", action="store_true", dest="chip_loop",
-        help="solve chip-at-a-time instead of one fleet batch (A/B check)",
     )
     p_fchar.add_argument("--out", default=None,
                          help="write fleet.events.jsonl + fleet.manifest.json here")

@@ -6,7 +6,7 @@ variation — thousands of sampled chips, not two.  This driver runs the
 Fig. 6 idle → uBench stages over ``n_chips`` independently sampled chips
 and converges each chip's baseline and fine-tuned operating points through
 the fleet-scale batched solver
-(:func:`repro.fastpath.population.solve_fleet`).
+(:func:`repro.fastpath.population.solve_chips_cached`, one batch per chunk).
 
 Memory discipline: chips are processed in bounded *chunks* — each chunk's
 chips are sampled, characterized, batch-solved, folded into streaming
@@ -537,7 +537,6 @@ def _process_chunk(
     mode: MarginMode,
     reduction_steps: int,
     noise_sigma_ps: float,
-    population: bool,
     obs: Observability,
     tsdb: Tsdb | None = None,
 ) -> None:
@@ -586,12 +585,7 @@ def _process_chunk(
         entries.append((compiled, [baseline_row, tuned_row], None))
         per_chip.append((draw, idle, ubench, probes))
 
-    if population:
-        states = solve_chips_cached(entries)
-    else:
-        # Chip-at-a-time A/B path: same per-entry batches ChipSim.solve_many
-        # would submit.
-        states = [solve_chips_cached([entry])[0] for entry in entries]
+    states = solve_chips_cached(entries)
 
     if obs.enabled:
         # One registry lookup per instrument per chunk, not per chip.
@@ -694,7 +688,6 @@ def _characterize_chunk_worker(
     mode: MarginMode,
     reduction_steps: int,
     noise_sigma_ps: float,
-    population: bool,
     collect_metrics: bool,
     store_root: str | None,
     tsdb_experiment: str | None,
@@ -733,7 +726,6 @@ def _characterize_chunk_worker(
         mode=mode,
         reduction_steps=reduction_steps,
         noise_sigma_ps=noise_sigma_ps,
-        population=population,
         tsdb=tsdb,
     )
     if collect_metrics:
@@ -770,7 +762,6 @@ def characterize_fleet(
     mode: MarginMode = MarginMode.ATM,
     reduction_steps: int = 0,
     noise_sigma_ps: float = 0.1,
-    population: bool = True,
     jobs: int = 1,
     progress: ProgressReporter | None = None,
     tsdb: Tsdb | None = None,
@@ -785,8 +776,7 @@ def characterize_fleet(
     report and the metric summaries are byte-identical across any
     ``chunk_size`` and ``jobs`` combination.  ``mode`` and
     ``reduction_steps`` configure the *baseline* row each chip is solved
-    at (the fine-tuned row always applies the chip's own uBench limits);
-    ``population=False`` solves chip-at-a-time for A/B comparison.
+    at (the fine-tuned row always applies the chip's own uBench limits).
 
     With ``jobs > 1`` under an enabled observability context the registry
     must be in streaming gauge mode (exact gauge traces cannot merge),
@@ -834,7 +824,6 @@ def characterize_fleet(
                 mode=mode,
                 reduction_steps=reduction_steps,
                 noise_sigma_ps=noise_sigma_ps,
-                population=population,
                 obs=obs,
                 tsdb=tsdb,
             )
@@ -864,7 +853,6 @@ def characterize_fleet(
                     mode,
                     reduction_steps,
                     noise_sigma_ps,
-                    population,
                     obs.enabled,
                     store_root,
                     tsdb.experiment if tsdb is not None else None,

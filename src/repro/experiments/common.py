@@ -91,10 +91,11 @@ def run_observed(
     from . import run_experiment
     from ..fastpath.cache import reset_solve_cache
 
-    # A cold solve cache at the start of every observed run makes the
-    # fastpath.cache.* counters in the manifest a property of the
-    # experiment alone, not of whatever ran earlier in this process — so
-    # manifests match byte-for-byte between serial and pooled execution.
+    # A cold solve cache at the start of every observed run makes which
+    # rows hit the memo — and so chip.solves in the manifest — a property
+    # of the experiment alone, not of whatever ran earlier in this
+    # process, so manifests match byte-for-byte between serial and pooled
+    # execution.
     reset_solve_cache()
     target_dir = Path(out_dir)
     target_dir.mkdir(parents=True, exist_ok=True)

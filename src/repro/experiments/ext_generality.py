@@ -21,7 +21,6 @@ from ..core.characterize import Characterizer
 from ..core.freq_predictor import fit_core_frequency_models
 from ..core.limits import LimitTable
 from ..core.manager import AtmManager
-from ..fastpath.population import solve_fleet
 from ..rng import RngStreams
 from ..silicon.platforms import manycore_chip, psm_like_chip
 from ..workloads.dnn import SQUEEZENET
@@ -33,7 +32,7 @@ from .common import ExperimentResult
 PROFILE_APPS = (GCC, X264, FACESIM)
 
 
-def _pipeline(chip, seed: int, population: bool = True) -> dict[str, float]:
+def _pipeline(chip, seed: int) -> dict[str, float]:
     sim = ChipSim(chip)
     characterizer = Characterizer(RngStreams(seed), trials=4)
     characterization = characterizer.characterize_chips(
@@ -42,18 +41,12 @@ def _pipeline(chip, seed: int, population: bool = True) -> dict[str, float]:
     limits = LimitTable(characterization.limits)
     reductions = tuple(limits.row("thread worst"))
 
-    # Default and tuned rows converge as one batch (one platform per
-    # batch: the platforms have different physics, so each is its own
-    # CompiledChip either way).
-    (default_state, tuned_state), = solve_fleet(
-        [sim],
+    # Default and tuned rows converge as one batch.
+    default_state, tuned_state = sim.solve_many(
         [
-            [
-                sim.uniform_assignments(),
-                sim.uniform_assignments(reductions=list(reductions)),
-            ]
-        ],
-        population=population,
+            sim.uniform_assignments(),
+            sim.uniform_assignments(reductions=list(reductions)),
+        ]
     )
     spread = max(tuned_state.freqs_mhz) - min(tuned_state.freqs_mhz)
     gain = max(tuned_state.freqs_mhz) - max(default_state.freqs_mhz)
@@ -76,7 +69,7 @@ def _pipeline(chip, seed: int, population: bool = True) -> dict[str, float]:
     }
 
 
-def run(seed: int = 2019, population: bool = True) -> ExperimentResult:
+def run(seed: int = 2019) -> ExperimentResult:
     """Run the pipeline on the PSM-like and manycore platforms."""
     platforms = {
         "PSM-like 4-core": psm_like_chip(seed),
@@ -85,7 +78,7 @@ def run(seed: int = 2019, population: bool = True) -> ExperimentResult:
     rows = []
     outcomes = {}
     for name, chip in platforms.items():
-        outcome = _pipeline(chip, seed, population=population)
+        outcome = _pipeline(chip, seed)
         outcomes[name] = outcome
         rows.append(
             (

@@ -12,21 +12,17 @@ from __future__ import annotations
 from ..analysis.rendering import ascii_table
 from ..atm.chip_sim import ChipSim
 from ..core.characterize import Characterizer
-from ..fastpath.population import solve_fleet
+from ..fastpath.population import solve_population
 from ..rng import RngStreams
 from ..silicon import power7plus_testbed
 from .common import ExperimentResult
 
 
-def run(
-    seed: int = 2019, trials: int = 10, population: bool = True
-) -> ExperimentResult:
+def run(seed: int = 2019, trials: int = 10) -> ExperimentResult:
     """Reproduce Fig. 7 across both testbed chips.
 
-    ``population`` selects the fleet-batched solve (every chip's
-    idle-limit row converges in one :func:`solve_fleet` batch) versus the
-    chip-at-a-time loop; both produce byte-identical results and event
-    streams at the same seed.
+    Every chip's idle-limit row converges in one :func:`solve_population`
+    batch.
     """
     server = power7plus_testbed(seed)
     characterizer = Characterizer(RngStreams(seed), trials=trials)
@@ -43,7 +39,7 @@ def run(
         sims.append(sim)
         rows_per_chip.append([sim.uniform_assignments(reductions=limits)])
         idle_by_chip.append(idle_results)
-    states = solve_fleet(sims, rows_per_chip, population=population)
+    states = solve_population(sims, rows_per_chip)
 
     rows = []
     limit_freqs = {}

@@ -4,10 +4,9 @@ The scalar solver in :mod:`repro.atm.chip_sim` walks Python loops over
 cores inside every fixed-point iteration; every reproduced figure funnels
 through it, so those loops dominate wall-clock.  This package compiles a
 chip's silicon description into flat numpy arrays once
-(:class:`CompiledChip`), evaluates whole fixed-point iterations as array
-math (:func:`solve_compiled`), converges K candidate assignment vectors
-simultaneously with masked per-row convergence (:func:`solve_many_compiled`),
-and memoizes converged states by content-addressed chip fingerprint plus
+(:class:`CompiledChip`), converges K candidate assignment vectors as array
+math with masked per-row convergence (:func:`solve_many_compiled`), and
+memoizes converged states by content-addressed chip fingerprint plus
 assignment tuple (:class:`SolveCache`).
 
 Below the in-memory cache sits an optional disk layer
@@ -29,11 +28,10 @@ from .compiled import CompiledChip, compile_chip, compile_draw, fingerprint_of
 from .population import (
     CompiledPopulation,
     solve_chips_cached,
-    solve_fleet,
     solve_population,
     solve_population_compiled,
 )
-from .solver import solve_compiled, solve_many_compiled
+from .solver import solve_many_compiled
 from .store import SolveStore, configure_store, get_store, reset_store
 
 __all__ = [
@@ -50,8 +48,6 @@ __all__ = [
     "reset_solve_cache",
     "reset_store",
     "solve_chips_cached",
-    "solve_compiled",
-    "solve_fleet",
     "solve_many_compiled",
     "solve_population",
     "solve_population_compiled",

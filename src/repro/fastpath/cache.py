@@ -6,11 +6,14 @@ e.g. the testbed rebuilt from the same seed by consecutive experiments —
 share entries, while any change to a physical parameter starts from a cold
 cache.  Assignment tuples are frozen dataclasses and hash by value.
 
-The cache is process-local and bounded (LRU).  Experiment harnesses reset
-it at the start of every experiment run so hit/miss behaviour — and the
-``fastpath.cache.*`` counters it feeds into :mod:`repro.obs.metrics` — is
-identical whether experiments run serially in one process or fanned out
-across a pool.
+The cache is process-local and bounded (LRU), which is what keeps a
+serial fleet run's memo at :data:`DEFAULT_MAX_ENTRIES` states however many
+chips stream through it.  Experiment harnesses reset it at the start of
+every experiment run so which rows hit — and therefore ``chip.solves`` —
+is a property of the experiment, whether experiments run serially in one
+process or fanned out across a pool.  The ``fastpath.cache.*`` counters it
+feeds into :mod:`repro.obs.metrics` also depend on LRU history and worker
+partitioning, so they are execution-scoped and kept out of manifests.
 """
 
 from __future__ import annotations
@@ -57,21 +60,6 @@ class SolveCache:
         while len(self._entries) > self._max_entries:
             self._entries.popitem(last=False)
             self.evictions += 1
-
-    def replace(self, key, expected, state) -> None:
-        """Swap ``expected`` for ``state`` at ``key`` without touching LRU order.
-
-        A no-op when the slot no longer holds ``expected`` (it was evicted,
-        or another writer got there first) — the population solver uses this
-        to resolve its in-flight placeholder entries in place.
-        """
-        if self._entries.get(key) is expected:
-            self._entries[key] = state
-
-    def discard(self, key, expected) -> None:
-        """Remove ``key`` if it still holds ``expected`` (error-path cleanup)."""
-        if self._entries.get(key) is expected:
-            del self._entries[key]
 
     @property
     def hit_rate(self) -> float:

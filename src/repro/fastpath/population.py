@@ -29,21 +29,21 @@ bit-identical operands to the per-chip solver, so results are bitwise
 equal to ``solve_many``; mixed core counts add only trailing ``+ 0.0``
 terms and are property-tested to agree within 1e-9 MHz.
 
-Cache and metrics mirror contract
----------------------------------
+Solve memo
+----------
 
 :func:`solve_chips_cached` is the shared orchestration behind both
 :meth:`repro.atm.chip_sim.ChipSim.solve_many` (one chip) and
-:func:`solve_population` (many chips).  Its contract: the cache operation
-sequence, hit/miss/eviction counts, and every ``chip.*`` /
-``fastpath.cache.*`` metric update are exactly what a per-chip
-``solve_many`` loop would have produced — which is what keeps event
-streams and run manifests byte-identical between the two paths.  The
-loop path publishes each chip's converged states to the cache before the
-next chip looks them up; the batched path reproduces that by inserting
-*placeholder* entries for in-flight rows (a later chip's lookup of an
-identical-fingerprint row is a hit on the placeholder, resolved to the
-solved state after the single batched solve).
+:func:`solve_population` (many chips).  Every row is looked up in the
+process memo (:mod:`repro.fastpath.cache`), all misses converge as one
+batch, and their states enter the memo only after that batch returns, so
+a failed solve publishes nothing.  A row that an earlier entry of the same
+call already missed (a twin chip with the same content-addressed
+fingerprint) is served from that solve and counts as a memo hit; a row
+repeated inside one entry is solved once per occurrence.  States and
+``chip.*`` metrics therefore match a per-chip ``solve_many`` loop.  The
+``fastpath.cache.*`` counters reflect LRU history, so they are
+execution-scoped and stay out of run manifests.
 """
 
 from __future__ import annotations
@@ -430,184 +430,145 @@ def solve_population_compiled(
     return states
 
 
-class _Pending:
-    """Placeholder cache value for a row the current batch is solving."""
+def _solve_batch(
+    entries: Sequence[tuple], batch: list[tuple[int, tuple]]
+) -> list:
+    """Converged states for ``batch`` (one ``(entry index, row)`` per slot).
 
-    __slots__ = ("slot",)
+    Persistent-store layer: rows whose converged state is already on disk
+    (same fingerprint, row, and warm seed — the content address covers the
+    whole trajectory, so stored values are bitwise what a live solve would
+    produce) are served without solving; only the remainder is solved.
+    """
+    store = get_store()
+    solved: list = [None] * len(batch)
+    store_keys: list = [None] * len(batch)
+    corrupt_before = store.corrupt_entries if store is not None else 0
+    if store is not None:
+        for slot, (entry_index, row) in enumerate(batch):
+            compiled, _rows, warm = entries[entry_index]
+            store_keys[slot] = state_key(compiled.fingerprint, row, warm)
+            payload = store.get(KIND_STATE, store_keys[slot])
+            if payload is not None:
+                solved[slot] = decode_state(payload, row)
+    live = [slot for slot, state in enumerate(solved) if state is None]
 
-    def __init__(self, slot: int):
-        self.slot = slot
+    # Strategy choice (one-chip batch vs population stack) and the
+    # population's chip set are decided from the *full* batch, not the
+    # store-filtered remainder: the stacked array shapes — and therefore
+    # every row's floating-point reduction order — must not depend on
+    # which rows the store happened to hold.
+    entry_order = list(dict.fromkeys(ei for ei, _row in batch))
+    live_solved: list = []
+    if live and len(entry_order) == 1:
+        compiled, _rows, warm = entries[entry_order[0]]
+        live_solved = solve_many_compiled(
+            compiled, [batch[slot][1] for slot in live], warm_start=warm
+        )
+    elif live:
+        chip_of_entry = {ei: i for i, ei in enumerate(entry_order)}
+        warms = [entries[batch[slot][0]][2] for slot in live]
+        live_solved = solve_population_compiled(
+            CompiledPopulation([entries[ei][0] for ei in entry_order]),
+            [(chip_of_entry[batch[slot][0]], batch[slot][1]) for slot in live],
+            warm_freqs=(
+                [None if w is None else w.freqs_mhz for w in warms]
+                if any(w is not None for w in warms)
+                else None
+            ),
+        )
+    for slot, state in zip(live, live_solved):
+        solved[slot] = state
+
+    if store is not None:
+        writes = 0
+        if store.writable:
+            for slot in live:
+                if store.put(
+                    KIND_STATE, store_keys[slot], encode_state(solved[slot])
+                ):
+                    writes += 1
+        publish_store_counters(
+            hits=len(batch) - len(live),
+            misses=len(live),
+            writes=writes,
+            corrupt=store.corrupt_entries - corrupt_before,
+        )
+    return solved
 
 
 def solve_chips_cached(entries: Sequence[tuple]) -> list[list]:
-    """Cache-aware batched solve of ``(compiled, rows, warm_start)`` entries.
+    """Memo-aware batched solve of ``(compiled, rows, warm_start)`` entries.
 
     The shared orchestration behind :meth:`ChipSim.solve_many` and
-    :func:`solve_population`: per entry, look every row up in the solve
-    cache, then converge all missing rows across *all* entries as one
-    batch (a single ``solve_many_compiled`` when only one chip has
-    misses, a :class:`CompiledPopulation` solve otherwise) and account
-    hits/misses/solve metrics per entry, in entry order.  The cache
-    operation sequence and every metric update are exactly those of a
-    per-entry ``solve_many`` loop — see the module docstring.
+    :func:`solve_population`: look every row of every entry up in the
+    solve memo, converge all missing rows as one batch (a single
+    ``solve_many_compiled`` when only one chip has misses, a
+    :class:`CompiledPopulation` solve otherwise), publish the new states,
+    and account hits/misses/solve metrics per entry, in entry order.  See
+    the module docstring for the memo rule.
     """
     cache = get_solve_cache()
-    obs = get_obs()
     results: list[list] = []
-    bookkeeping = []  # (pending [(row idx, key, placeholder, slot)], evicted)
-    batch: list[tuple[int, int]] = []  # slot -> (entry index, row index)
+    pending = []  # per entry: (missed, served), each [(row index, slot)]
+    batch: list[tuple[int, tuple]] = []  # slot -> (entry index, row)
+    in_batch: dict = {}  # memo key -> slot of an earlier entry's miss
     for entry_index, (compiled, rows, _warm) in enumerate(entries):
-        fingerprint = compiled.fingerprint
-        states: list = []
-        pending: list[tuple[int, tuple, _Pending, int]] = []
+        states: list = [None] * len(rows)
+        missed: list[tuple[int, int]] = []
+        served: list[tuple[int, int]] = []
         for row_index, row in enumerate(rows):
-            cached = cache.get((fingerprint, row))
-            states.append(cached)
-            if cached is None:
-                slot = len(batch)
-                batch.append((entry_index, row_index))
-                pending.append(
-                    (row_index, (fingerprint, row), _Pending(slot), slot)
-                )
-        # Publish placeholders so identical-fingerprint rows of *later*
-        # entries hit them — exactly the hits a per-chip loop would score
-        # against the earlier chip's already-cached states.
-        evictions_before = cache.evictions
-        for _row_index, key, placeholder, _slot in pending:
-            cache.put(key, placeholder)
-        bookkeeping.append((pending, cache.evictions - evictions_before))
+            key = (compiled.fingerprint, row)
+            slot = in_batch.get(key)
+            if slot is not None:
+                # An earlier entry's miss solves this row: a memo hit, as
+                # a per-chip loop would have scored it.
+                cache.hits += 1
+                served.append((row_index, slot))
+                continue
+            states[row_index] = cache.get(key)
+            if states[row_index] is None:
+                missed.append((row_index, len(batch)))
+                batch.append((entry_index, row))
+        # Registered only after the entry's own lookups, so a row repeated
+        # inside one entry misses (and is solved) once per occurrence.
+        for row_index, slot in missed:
+            in_batch[(compiled.fingerprint, rows[row_index])] = slot
         results.append(states)
+        pending.append((missed, served))
 
-    solved: list = []
-    if batch:
-        # Persistent-store layer: rows whose converged state is already on
-        # disk (same fingerprint, row, and warm seed — the content address
-        # covers the whole trajectory, so stored values are bitwise what a
-        # live solve would produce) are served without solving; only the
-        # remainder enters the batch.  The in-memory cache traffic above is
-        # untouched, so the cache-mirror contract holds with the store
-        # cold, warm, or disabled.
-        store = get_store()
-        store_states: dict[int, object] = {}
-        store_keys: list[bytes | None] = [None] * len(batch)
-        corrupt_before = store.corrupt_entries if store is not None else 0
-        if store is not None:
-            for slot, (entry_index, row_index) in enumerate(batch):
-                compiled, rows, warm = entries[entry_index]
-                row = rows[row_index]
-                key = state_key(compiled.fingerprint, row, warm)
-                store_keys[slot] = key
-                payload = store.get(KIND_STATE, key)
-                if payload is not None:
-                    state = decode_state(payload, row)
-                    if state is not None:
-                        store_states[slot] = state
-        live = [slot for slot in range(len(batch)) if slot not in store_states]
-
-        # Strategy choice (one-chip batch vs population stack) and the
-        # population's chip set are decided from the *full* pending batch,
-        # not the store-filtered remainder: the stacked array shapes — and
-        # therefore every row's floating-point reduction order — must not
-        # depend on which rows the store happened to hold.
-        entry_order: list[int] = []
-        for entry_index, _row_index in batch:
-            if not entry_order or entry_order[-1] != entry_index:
-                entry_order.append(entry_index)
-        live_solved: list = []
-        try:
-            if not live:
-                pass
-            elif len(entry_order) == 1:
-                compiled, rows, warm = entries[entry_order[0]]
-                pending_rows = [
-                    entries[batch[slot][0]][1][batch[slot][1]] for slot in live
-                ]
-                live_solved = solve_many_compiled(
-                    compiled, pending_rows, warm_start=warm
-                )
-            else:
-                population = CompiledPopulation(
-                    [entries[ei][0] for ei in entry_order]
-                )
-                chip_of_entry = {ei: i for i, ei in enumerate(entry_order)}
-                row_specs = [
-                    (
-                        chip_of_entry[batch[slot][0]],
-                        entries[batch[slot][0]][1][batch[slot][1]],
-                    )
-                    for slot in live
-                ]
-                warms = [entries[batch[slot][0]][2] for slot in live]
-                if any(w is not None for w in warms):
-                    warm_freqs = [
-                        None
-                        if w is None
-                        else np.asarray(w.freqs_mhz, dtype=np.float64)
-                        for w in warms
-                    ]
-                else:
-                    warm_freqs = None
-                live_solved = solve_population_compiled(
-                    population, row_specs, warm_freqs=warm_freqs
-                )
-        except Exception:
-            # Leave no placeholder behind: a failed batch must look like a
-            # failed per-chip solve (nothing new cached).
-            for pending, _evicted in bookkeeping:
-                for _row_index, key, placeholder, _slot in pending:
-                    cache.discard(key, placeholder)
-            raise
-
-        solved = [None] * len(batch)
-        for slot, state in store_states.items():
-            solved[slot] = state
-        for slot, state in zip(live, live_solved):
-            solved[slot] = state
-        store_writes = 0
-        if store is not None:
-            if store.writable:
-                for slot in live:
-                    if store.put(
-                        KIND_STATE, store_keys[slot], encode_state(solved[slot])
-                    ):
-                        store_writes += 1
-            publish_store_counters(
-                hits=len(store_states),
-                misses=len(live),
-                writes=store_writes,
-                corrupt=store.corrupt_entries - corrupt_before,
-            )
-
-    for (compiled, rows, _warm), states, (pending, evicted) in zip(
-        entries, results, bookkeeping
+    solved = _solve_batch(entries, batch) if batch else []
+    obs = get_obs()
+    evictions_before = cache.evictions
+    for (compiled, rows, _warm), states, (missed, served) in zip(
+        entries, results, pending
     ):
-        for row_index, key, placeholder, slot in pending:
-            state = solved[slot]
-            states[row_index] = state
-            cache.replace(key, placeholder, state)
-        for row_index, state in enumerate(states):
-            if type(state) is _Pending:
-                states[row_index] = solved[state.slot]
-        if obs.enabled:
-            hits = len(rows) - len(pending)
-            if hits:
-                obs.metrics.counter("fastpath.cache.hits").inc(hits)
-            if pending:
-                obs.metrics.counter("fastpath.cache.misses").inc(len(pending))
-                obs.metrics.counter("chip.solves").inc(len(pending))
-                for _row_index, _key, _placeholder, slot in pending:
-                    obs.metrics.histogram("chip.solve_iterations").observe(
-                        float(solved[slot].iterations)
-                    )
-                # Tick = hashed chip id: partition-invariant, so the
-                # merged gauge's "last" is identical no matter which
-                # worker solved this chip (see identity_tick).
-                obs.metrics.gauge("chip.power_w").set(
-                    float(solved[pending[-1][3]].chip_power_w),
-                    tick=identity_tick(compiled.chip.chip_id),
+        for row_index, slot in missed + served:
+            states[row_index] = solved[slot]
+        for row_index, slot in missed:
+            cache.put((compiled.fingerprint, rows[row_index]), solved[slot])
+        if not obs.enabled:
+            continue
+        hits = len(rows) - len(missed)
+        if hits:
+            obs.metrics.counter("fastpath.cache.hits").inc(hits)
+        if missed:
+            obs.metrics.counter("fastpath.cache.misses").inc(len(missed))
+            obs.metrics.counter("chip.solves").inc(len(missed))
+            for _row_index, slot in missed:
+                obs.metrics.histogram("chip.solve_iterations").observe(
+                    float(solved[slot].iterations)
                 )
-            if evicted:
-                obs.metrics.counter("fastpath.cache.evictions").inc(evicted)
+            # Tick = hashed chip id: partition-invariant, so the merged
+            # gauge's "last" is identical no matter which worker solved
+            # this chip (see identity_tick).
+            obs.metrics.gauge("chip.power_w").set(
+                float(solved[missed[-1][1]].chip_power_w),
+                tick=identity_tick(compiled.chip.chip_id),
+            )
+    evicted = cache.evictions - evictions_before
+    if evicted and obs.enabled:
+        obs.metrics.counter("fastpath.cache.evictions").inc(evicted)
     return results
 
 
@@ -624,7 +585,7 @@ def solve_population(
     ``warm_starts`` optionally carries one prior
     :class:`~repro.atm.chip_sim.ChipSteadyState` (or ``None``) per chip.
     Returns one list of states per chip, in input order — the same
-    nested shape, values, cache traffic, and metrics as
+    nested shape, states, memo hits, and ``chip.*`` metrics as
     ``[sim.solve_many(rows) for sim, rows in zip(sims, rows_per_chip)]``.
     """
     if len(rows_per_chip) != len(sims):
@@ -652,29 +613,3 @@ def solve_population(
             sim.validate_assignments(row)
         entries.append((sim.compiled, tuples, warm))
     return solve_chips_cached(entries)
-
-
-def solve_fleet(
-    sims: Sequence,
-    rows_per_chip: Sequence[Sequence],
-    *,
-    population: bool = True,
-    warm_starts: Sequence | None = None,
-) -> list[list]:
-    """Dispatch between the batched fleet solve and the per-chip loop.
-
-    Call sites that must stay byte-identical under either strategy use
-    this switch; ``population=False`` preserves the original
-    chip-at-a-time behaviour for A/B comparison.
-    """
-    if population:
-        return solve_population(sims, rows_per_chip, warm_starts=warm_starts)
-    warms = list(warm_starts) if warm_starts is not None else [None] * len(sims)
-    if len(rows_per_chip) != len(sims) or len(warms) != len(sims):
-        raise ConfigurationError(
-            "need one row batch and one warm start (or None) per chip"
-        )
-    return [
-        sim.solve_many(rows, warm_start=warm)
-        for sim, rows, warm in zip(sims, rows_per_chip, warms)
-    ]

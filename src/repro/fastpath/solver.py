@@ -1,18 +1,17 @@
 """Vectorized and batched fixed-point solves over a :class:`CompiledChip`.
 
-:func:`solve_compiled` reproduces
-:meth:`repro.atm.chip_sim.ChipSim.solve_steady_state` for one assignment
-vector with every per-core quantity evaluated as array math;
-:func:`solve_many_compiled` stacks K candidate assignment vectors into
-(K, n_cores) matrices and converges them simultaneously.  Rows are
+:func:`solve_many_compiled` reproduces
+:meth:`repro.atm.chip_sim.ChipSim.solve_steady_state` with every per-core
+quantity evaluated as array math, stacking K candidate assignment vectors
+into (K, n_cores) matrices and converging them simultaneously.  Rows are
 independent (no cross-row coupling in the physics), so masked per-row
 convergence freezes each row at exactly the state its solo solve would
 have reached; the batch exists purely to amortize Python and numpy
 dispatch overhead across candidates.
 
-Both entry points accept a ``warm_start`` state: monotone sweeps (e.g. the
-Eq. 1 frequency/power training sweep, or Fig. 5's reduction staircase) seed
-the iteration from the previous converged point instead of the nominal
+It accepts a ``warm_start`` state: monotone sweeps (e.g. the Eq. 1
+frequency/power training sweep, or Fig. 5's reduction staircase) seed the
+iteration from the previous converged point instead of the nominal
 operating point, which typically saves half the iterations.  The fixed
 point is a strong contraction, so warm and cold starts agree within the
 solver tolerance.
@@ -216,13 +215,3 @@ def solve_many_compiled(
         )
         for row in range(k)
     ]
-
-
-def solve_compiled(
-    compiled: CompiledChip,
-    assignments: tuple,
-    *,
-    warm_start=None,
-) -> object:
-    """Vectorized solve of one assignment vector (see :func:`solve_many_compiled`)."""
-    return solve_many_compiled(compiled, [assignments], warm_start=warm_start)[0]

@@ -19,8 +19,10 @@ from pathlib import Path
 
 from ..errors import ConfigurationError
 
-#: Manifest schema version (bump on incompatible shape changes).
-MANIFEST_SCHEMA = 1
+#: Manifest schema version (bump on incompatible shape changes).  Schema 2
+#: drops the execution-scoped ``fastpath.cache.*`` counters from
+#: ``metrics_summary``; schema-1 manifests still load.
+MANIFEST_SCHEMA = 2
 
 
 def sha256_hex(data: bytes) -> str:

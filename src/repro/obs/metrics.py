@@ -329,13 +329,16 @@ class Histogram:
 REGISTRY_STATE_SCHEMA = 1
 
 #: Instrument-name prefixes that describe the *execution environment*
-#: (what happened to be cached on this machine) rather than the physics
-#: of the run.  They stay live in the registry — and in the state dicts
-#: pool workers ship home, so parents see fleet-wide totals — but
-#: :meth:`MetricsRegistry.to_summary` omits them, keeping run manifests
-#: byte-identical whether the persistent solve store was cold, warm, or
-#: disabled.  Read them via ``repro store stats`` / ``SolveStore.stats``.
-EXECUTION_SCOPED_PREFIXES = ("fastpath.store.",)
+#: (what happened to be cached in this process or on this machine) rather
+#: than the physics of the run: the solve store's traffic depends on what
+#: is on disk, and the in-memory solve memo's on its LRU history and on
+#: how chunks were partitioned across pool workers.  They stay live in the
+#: registry — and in the state dicts pool workers ship home, so parents
+#: see fleet-wide totals — but :meth:`MetricsRegistry.to_summary` omits
+#: them, keeping run manifests byte-identical whether the store was cold,
+#: warm, or disabled and whether the run was serial or pooled.  Read them
+#: via ``repro store stats`` / ``SolveStore.stats`` / ``SolveCache.stats``.
+EXECUTION_SCOPED_PREFIXES = ("fastpath.store.", "fastpath.cache.")
 
 _INSTRUMENT_KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 
@@ -476,8 +479,9 @@ class MetricsRegistry:
         """Deterministic nested-dict summary of every instrument.
 
         Execution-scoped instruments (:data:`EXECUTION_SCOPED_PREFIXES`)
-        are omitted: they report store-cache traffic, which varies with
-        what is on disk, and a run's summary must not.
+        are omitted: they report store and memo traffic, which varies with
+        what is on disk and with process history, and a run's summary
+        must not.
         """
         summary: dict[str, dict] = {}
         for name in self.names():

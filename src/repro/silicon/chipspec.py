@@ -751,7 +751,10 @@ def draw_chip(
         # the CPM's fine calibration bits).
         synth_base = base_total_ps - slack_ps - insert_at_preset
         if synth_base <= 0.0:
-            raise ConfigurationError(f"{label}: sampled chip is non-physical")
+            # Not ``label``: it always reads P<n>, and it seeds RNG streams.
+            raise ConfigurationError(
+                f"{chip_id} core {core_index}: sampled chip is non-physical"
+            )
         # Reclaimable protection is bounded both by the CPM mismatch the
         # preset must keep covering and by how much true guardband the
         # factory actually inserted: even the fastest testbed core exposes

@@ -84,13 +84,6 @@ class TestFleetSummaryIdentity:
         assert after["char_hits"] - before["char_hits"] == CHIPS
         assert after["state_hits"] - before["state_hits"] == 2 * CHIPS
 
-    def test_chip_loop_matches_population_with_store(self, tmp_path):
-        configure_store(tmp_path / "store")
-        batched = _fleet().to_dict()
-        reset_solve_cache()
-        looped = _fleet(population=False).to_dict()
-        assert looped == batched
-
     def test_corrupted_store_falls_back_to_recompute(self, tmp_path):
         reference = _fleet().to_dict()
         store = configure_store(tmp_path / "store")

@@ -6,7 +6,9 @@ are byte-identical across every ``chunk_size`` × ``jobs`` combination —
 partial registries from chunks and pool workers fold into the same
 rollup a serial run produces.  The matrix below is the acceptance matrix
 from the issue (chunk 16/64/256, jobs 1/4) plus a deliberately awkward
-odd chunking on two workers.
+odd chunking on two workers.  One more case shrinks the solve memo so a
+serial run evicts while pooled workers (which reset it per chunk) do not:
+LRU traffic is execution-scoped, so the summaries must still agree.
 """
 
 import json
@@ -15,7 +17,7 @@ import pytest
 
 from repro.core.fleet import characterize_fleet
 from repro.errors import ConfigurationError
-from repro.fastpath.cache import reset_solve_cache
+from repro.fastpath.cache import SolveCache, get_solve_cache, reset_solve_cache
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import Observability, observed
 from repro.obs.sinks import NullSink
@@ -24,14 +26,14 @@ SEED = 2019
 N_CHIPS = 40
 
 
-def _run(chunk_size, jobs):
+def _run(chunk_size, jobs, n_chips=N_CHIPS, **kwargs):
     reset_solve_cache()
     obs = Observability(
         NullSink(), metrics=MetricsRegistry(gauge_mode="streaming")
     )
     with observed(obs):
         report = characterize_fleet(
-            N_CHIPS, seed=SEED, chunk_size=chunk_size, jobs=jobs
+            n_chips, seed=SEED, chunk_size=chunk_size, jobs=jobs, **kwargs
         )
     return (
         json.dumps(report.to_dict(), sort_keys=True),
@@ -57,6 +59,17 @@ class TestChunkAndPoolInvariance:
             assert actual == expected, (
                 f"{name} diverged at chunk_size={chunk_size} jobs={jobs}"
             )
+
+    def test_summary_is_invariant_above_the_memo_bound(self, monkeypatch):
+        monkeypatch.setattr(
+            "repro.fastpath.cache._GLOBAL_CACHE", SolveCache(max_entries=8)
+        )
+        small = dict(n_chips=12, trials=2, n_cores=4)
+        serial = _run(64, 1, **small)
+        assert get_solve_cache().evictions > 0
+        pooled = _run(4, 2, **small)
+        assert pooled[0] == serial[0], "report diverged"
+        assert pooled[1] == serial[1], "summary diverged"
 
 
 class TestPoolGuards:

@@ -3,13 +3,17 @@
 import pytest
 
 from repro.atm.chip_sim import ChipSim
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
+from repro.fastpath import population
 from repro.fastpath.cache import (
     SolveCache,
     get_solve_cache,
     reset_solve_cache,
 )
 from repro.fastpath.compiled import CompiledChip
+from repro.fastpath.population import solve_population
+from repro.obs.runtime import Observability, observed
+from repro.obs.sinks import NullSink
 from repro.silicon import sample_chip
 
 
@@ -67,46 +71,6 @@ class TestSolveCache:
         cache.clear()
         assert cache.evictions == 0
 
-    def test_replace_swaps_the_value(self):
-        cache = SolveCache()
-        placeholder = object()
-        cache.put("a", placeholder)
-        cache.replace("a", placeholder, 1)
-        assert cache.get("a") == 1
-
-    def test_replace_preserves_lru_position(self):
-        cache = SolveCache(max_entries=2)
-        placeholder = object()
-        cache.put("a", placeholder)
-        cache.put("b", 2)
-        cache.replace("a", placeholder, 1)
-        # The swap must not refresh recency: "a" is still the oldest
-        # entry, so the next insert evicts it, not "b".
-        cache.put("c", 3)
-        assert cache.get("a") is None
-        assert cache.get("b") == 2
-
-    def test_replace_is_noop_when_value_moved_on(self):
-        cache = SolveCache()
-        placeholder = object()
-        cache.put("a", placeholder)
-        cache.put("a", "final")
-        cache.replace("a", placeholder, "stale")
-        assert cache.get("a") == "final"
-        cache.replace("missing", placeholder, "stale")
-        assert cache.get("missing") is None
-
-    def test_discard_removes_only_the_expected_value(self):
-        cache = SolveCache()
-        placeholder = object()
-        cache.put("a", placeholder)
-        cache.put("b", "kept")
-        cache.discard("a", placeholder)
-        cache.discard("b", placeholder)
-        cache.discard("missing", placeholder)
-        assert cache.get("a") is None
-        assert cache.get("b") == "kept"
-
 
 class TestFingerprint:
     def test_equal_physics_share_a_fingerprint(self):
@@ -153,3 +117,41 @@ class TestProcessCache:
         cache.put("sentinel", object())
         reset_solve_cache()
         assert len(cache) == 0
+
+    def test_row_repeated_in_one_batch_is_solved_per_occurrence(self):
+        reset_solve_cache()
+        sim = ChipSim(sample_chip(41))
+        row = sim.uniform_assignments()
+        obs = Observability(NullSink())
+        with observed(obs):
+            first, second = sim.solve_many([row, row])
+        cache = get_solve_cache()
+        assert (cache.hits, cache.misses) == (0, 2)
+        assert obs.metrics.counter("chip.solves").value == 2
+        assert first.freqs_mhz == second.freqs_mhz  # repro-lint: disable=RL005
+
+    def test_failed_batch_publishes_nothing(self, monkeypatch):
+        """States enter the memo only after the batch returns, so a solve
+        that raises leaves no entry behind and a retry solves afresh."""
+        reset_solve_cache()
+        sims = [ChipSim(sample_chip(31, chip_id="x0")),
+                ChipSim(sample_chip(32, chip_id="x1"))]
+        rows = [[sim.uniform_assignments()] for sim in sims]
+
+        def diverge(*_args, **_kwargs):
+            raise SimulationError("forced divergence")
+
+        monkeypatch.setattr(population, "solve_population_compiled", diverge)
+        with pytest.raises(SimulationError):
+            solve_population(sims, rows)
+        cache = get_solve_cache()
+        assert len(cache) == 0
+
+        monkeypatch.undo()
+        states = solve_population(sims, rows)
+        assert cache.misses == 4  # both rows missed again and were solved
+        assert len(cache) == 2
+        again = solve_population(sims, rows)
+        assert cache.hits == 2
+        assert again[0][0] is states[0][0]
+        assert again[1][0] is states[1][0]

@@ -17,6 +17,7 @@ from repro.silicon.chipspec import (
     TESTBED_THREAD_WORST_LIMITS,
     TESTBED_UBENCH_LIMITS,
     core_label,
+    draw_chip,
     power7plus_testbed,
     sample_chip,
     sample_server,
@@ -268,6 +269,16 @@ class TestSampledChips:
         for core in chip.cores:
             assert core.protection_headroom_ps > 0.0
             assert core.synth_path.base_delay_ps > 0.0
+
+    def test_nonphysical_draw_names_the_fleet_chip(self):
+        # Fleet chip F10322 is the first non-physical draw at seed 2019.
+        # The error names it and the core, not the P-style label that
+        # seeds its RNG streams.
+        with pytest.raises(
+            ConfigurationError,
+            match=r"^F10322 core 4: sampled chip is non-physical$",
+        ):
+            draw_chip(2019 + 10322, chip_id="F10322")
 
     def test_sample_server_shape(self):
         server = sample_server(5, n_chips=3, n_cores=4)

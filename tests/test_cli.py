@@ -291,18 +291,6 @@ class TestFleetCli:
             capsys.readouterr().err
         )
 
-    def test_chip_loop_flag_matches_population(self, capsys):
-        assert main(
-            ["fleet", "characterize", "--chips", "2",
-             "--trials", "2", "--cores", "2"]
-        ) == 0
-        batched = capsys.readouterr().out
-        assert main(
-            ["fleet", "characterize", "--chips", "2",
-             "--trials", "2", "--cores", "2", "--chip-loop"]
-        ) == 0
-        assert capsys.readouterr().out == batched
-
 
 class TestStoreCli:
     def _populate(self, tmp_path, capsys):

@@ -190,6 +190,41 @@ else
 fi
 rm -rf "$fleet_obs_tmp"
 
+echo "== serial vs --jobs 2 fleet summaries above the memo bound =="
+# 2100 chips put 4200 rows through the 4096-state solve memo, so the
+# serial run evicts while pool workers, which reset the memo per chunk,
+# never do.  Memo traffic is execution-scoped: both manifests must carry
+# equal metric summaries and result metrics.  `repro obs diff` cannot be
+# this check, because a pooled run captures no events.
+memo_tmp="$(mktemp -d)"
+if python -m repro fleet characterize --chips 2100 --trials 1 --cores 2 \
+        --metrics-mode streaming --out "$memo_tmp/A" >/dev/null \
+        && python -m repro fleet characterize --chips 2100 --trials 1 \
+        --cores 2 --metrics-mode streaming --jobs 2 --out "$memo_tmp/B" \
+        >/dev/null \
+        && python - "$memo_tmp/A/fleet.manifest.json" \
+            "$memo_tmp/B/fleet.manifest.json" <<'PYEOF'
+import json
+import sys
+
+serial, pooled = (json.load(open(path)) for path in sys.argv[1:3])
+for key in ("metrics_summary", "result_metrics"):
+    differ = sorted(
+        name
+        for name in set(serial[key]) | set(pooled[key])
+        if serial[key].get(name) != pooled[key].get(name)
+    )
+    if differ:
+        raise SystemExit(f"serial vs --jobs 2 {key} differ: {', '.join(differ)}")
+PYEOF
+then
+    echo "serial vs pooled fleet summaries ok"
+else
+    echo "serial vs pooled fleet summaries FAILED"
+    failures=$((failures + 1))
+fi
+rm -rf "$memo_tmp"
+
 echo "== repro obs flame (smoke) =="
 # table1 is the cheapest experiment that emits SpanEvents; both export
 # formats must produce valid JSON with at least one span.
