@@ -40,7 +40,6 @@ from .silicon import (
     ServerSpec,
     power7plus_testbed,
     sample_chip,
-    sample_server,
 )
 from .atm import (
     ChipSim,
@@ -56,7 +55,6 @@ from .core import (
     GovernorPolicy,
     LimitTable,
     StressTestProcedure,
-    build_manager,
 )
 from .workloads import Workload, get_workload
 
@@ -79,7 +77,6 @@ __all__ = [
     "ServerSpec",
     "power7plus_testbed",
     "sample_chip",
-    "sample_server",
     "ChipSim",
     "CoreAssignment",
     "MarginMode",
@@ -91,7 +88,6 @@ __all__ = [
     "GovernorPolicy",
     "LimitTable",
     "StressTestProcedure",
-    "build_manager",
     "Workload",
     "get_workload",
     "__version__",

@@ -16,7 +16,7 @@ Ties the substrates together:
 """
 
 from .failure import FailureMode, FailureModel
-from .core_sim import AtmCore, equilibrium_frequency_mhz, SafetyProbe
+from .core_sim import equilibrium_frequency_mhz, SafetyProbe
 from .chip_sim import ChipSim, CoreAssignment, ChipSteadyState, MarginMode
 from .system import ServerSim
 from .transient import TransientSimulator, TransientResult
@@ -29,7 +29,6 @@ from .telemetry import TraceRecorder
 __all__ = [
     "FailureMode",
     "FailureModel",
-    "AtmCore",
     "equilibrium_frequency_mhz",
     "SafetyProbe",
     "ChipSim",

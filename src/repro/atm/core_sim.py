@@ -313,41 +313,3 @@ def _check_walk(core: CoreSpec, start: int, repeats_per_step: int) -> None:
         )
     if repeats_per_step < 1:
         raise ConfigurationError("repeats_per_step must be >= 1")
-
-
-@dataclass(frozen=True)
-class AtmCore:
-    """A (chip, core) pair with a live ATM configuration.
-
-    Convenience wrapper used by examples and the management layer when a
-    single core is manipulated on its own.
-    """
-
-    chip: ChipSpec
-    core: CoreSpec
-    reduction_steps: int = 0
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.reduction_steps <= self.core.preset_code):
-            raise ConfigurationError(
-                f"{self.core.label}: reduction must be in "
-                f"[0, {self.core.preset_code}], got {self.reduction_steps}"
-            )
-
-    def with_reduction(self, steps: int) -> "AtmCore":
-        """Return a copy reconfigured to ``steps`` of delay reduction."""
-        return AtmCore(chip=self.chip, core=self.core, reduction_steps=steps)
-
-    def frequency_mhz(
-        self,
-        vdd: float = NOMINAL_VDD,
-        temperature_c: float = AMBIENT_TEMPERATURE_C,
-    ) -> float:
-        """Equilibrium frequency at the given operating point."""
-        return equilibrium_frequency_mhz(
-            self.chip, self.core, self.reduction_steps, vdd, temperature_c
-        )
-
-    def is_safe(self, workload: Workload) -> bool:
-        """Noise-free safety of the current configuration under a workload."""
-        return self.core.margin_slack_ps(self.reduction_steps, workload.stress) >= 0.0

@@ -21,7 +21,6 @@ from .characterize import (
     IdleCharacterization,
     UbenchCharacterization,
 )
-from .admission import AdmissionController, AdmissionDecision
 from .cpm_predictor import CpmPrediction, GuardedCpmPredictor, workload_features
 from .energy import EnergyReport, energy_report
 from .freq_predictor import (
@@ -31,18 +30,13 @@ from .freq_predictor import (
 )
 from .governor import Governor, GovernorDecision, GovernorPolicy
 from .limits import CoreLimits, LimitTable
-from .manager import AtmManager, ScenarioResult, build_manager
+from .manager import AtmManager, ScenarioResult
 from .perf_predictor import (
     AppPerformancePredictor,
     fit_performance_predictor,
     fit_population,
 )
-from .persistence import (
-    load_deployment,
-    load_limit_table,
-    save_deployment,
-    save_limit_table,
-)
+from .persistence import load_limit_table, save_deployment, save_limit_table
 from .scheduler import (
     CriticalPlacement,
     Placement,
@@ -67,14 +61,11 @@ from .throttle import (
 __all__ = [
     "AppCharacterization",
     "Characterizer",
-    "AdmissionController",
-    "AdmissionDecision",
     "CpmPrediction",
     "GuardedCpmPredictor",
     "workload_features",
     "EnergyReport",
     "energy_report",
-    "load_deployment",
     "load_limit_table",
     "save_deployment",
     "save_limit_table",
@@ -95,7 +86,6 @@ __all__ = [
     "LimitTable",
     "AtmManager",
     "ScenarioResult",
-    "build_manager",
     "AppPerformancePredictor",
     "fit_performance_predictor",
     "fit_population",

@@ -85,14 +85,6 @@ def quantile_from_counts(counts: dict[int, int], q: float) -> int:
     return max(counts)
 
 
-# Streaming min/mean/max accumulator (no sample retention).  Re-homed to
-# the obs streaming layer and upgraded to an *exact* sum: plain float
-# accumulation is not associative, so the old version's means could
-# differ in the last ulp between chunkings — fatal for the rollup
-# byte-identity contract.  The alias keeps the historical fleet name.
-RunningStat = MergeableStat
-
-
 @dataclass(frozen=True)
 class FleetReport:
     """Streaming aggregate of one fleet characterization run."""

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from ..atm.chip_sim import ChipSim, CoreAssignment, ChipSteadyState, MarginMode
 from ..errors import ConfigurationError, SchedulingError
 from ..obs.runtime import get_obs
-from ..rng import RngStreams
 from ..silicon.chipspec import ChipSpec
 from ..units import DVFS_MIN_MHZ, STATIC_MARGIN_MHZ
 from ..workloads.base import IDLE, Workload
@@ -304,23 +303,3 @@ class AtmManager:
             critical_speedups=self._speedups(placement, decision.state),
             background_setting=decision.setting.describe(),
         )
-
-
-def build_manager(
-    sim: ChipSim,
-    streams: RngStreams,
-    *,
-    policy: GovernorPolicy = GovernorPolicy.DEFAULT,
-    limits: LimitTable | None = None,
-) -> AtmManager:
-    """Characterize (if needed) and construct a manager for one chip."""
-    if limits is None:
-        # Local import: characterize depends on nothing in this module, but
-        # keeping the import here makes the cheap path (limits provided)
-        # free of the characterization machinery.
-        from .characterize import Characterizer
-
-        characterizer = Characterizer(streams)
-        characterization = characterizer.characterize_chip(sim.chip)
-        limits = LimitTable(characterization.limits)
-    return AtmManager(sim, limits, policy=policy)

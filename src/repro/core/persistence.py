@@ -17,13 +17,18 @@ from pathlib import Path
 
 from ..errors import ConfigurationError
 from .limits import CoreLimits, LimitTable
-from .stress_test import CoreDeployment, DeploymentConfig
+from .stress_test import DeploymentConfig
 
 #: Current schema version written by this library.
 SCHEMA_VERSION = 1
 
 
-def _check_header(document: dict, expected_kind: str) -> None:
+def _check_header(document: object, expected_kind: str) -> None:
+    if not isinstance(document, dict):
+        raise ConfigurationError(
+            f"expected a {expected_kind!r} document, got a JSON "
+            f"{type(document).__name__}"
+        )
     kind = document.get("kind")
     if kind != expected_kind:
         raise ConfigurationError(
@@ -87,8 +92,10 @@ def load_limit_table(path: str | Path) -> LimitTable:
     if not source.exists():
         raise ConfigurationError(f"no limit table at {source}")
     try:
-        document = json.loads(source.read_text())
-    except json.JSONDecodeError as exc:
+        document = json.loads(source.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read {source}: {exc}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigurationError(f"{source} is not valid JSON: {exc}") from exc
     return limit_table_from_dict(document)
 
@@ -115,33 +122,6 @@ def deployment_to_dict(config: DeploymentConfig) -> dict:
     }
 
 
-def deployment_from_dict(document: dict) -> DeploymentConfig:
-    """Rebuild a deployment configuration with validation."""
-    _check_header(document, "deployment_config")
-    cores_doc = document.get("cores")
-    if not isinstance(cores_doc, dict) or not cores_doc:
-        raise ConfigurationError("deployment_config document has no cores")
-    cores = {}
-    for label, row in cores_doc.items():
-        try:
-            cores[label] = CoreDeployment(
-                core_label=label,
-                thread_worst_limit=int(row["thread_worst_limit"]),
-                validated_limit=int(row["validated_limit"]),
-                deployed_reduction=int(row["deployed_reduction"]),
-                survived_battery=bool(row["survived_battery"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(
-                f"malformed deployment row for core {label!r}: {exc}"
-            ) from exc
-    return DeploymentConfig(
-        chip_id=str(document.get("chip_id", "")),
-        cores=cores,
-        rollback_steps=int(document.get("rollback_steps", 0)),
-    )
-
-
 def save_deployment(config: DeploymentConfig, path: str | Path) -> Path:
     """Write a deployment configuration to ``path``; returns the path."""
     target = Path(path)
@@ -149,15 +129,3 @@ def save_deployment(config: DeploymentConfig, path: str | Path) -> Path:
         json.dumps(deployment_to_dict(config), indent=2, sort_keys=True)
     )
     return target
-
-
-def load_deployment(path: str | Path) -> DeploymentConfig:
-    """Read a deployment configuration written by :func:`save_deployment`."""
-    source = Path(path)
-    if not source.exists():
-        raise ConfigurationError(f"no deployment config at {source}")
-    try:
-        document = json.loads(source.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"{source} is not valid JSON: {exc}") from exc
-    return deployment_from_dict(document)

@@ -22,14 +22,19 @@ from dataclasses import dataclass
 
 from ..atm.chip_sim import ChipSim, CoreAssignment, ChipSteadyState, MarginMode
 from ..errors import ConfigurationError, SchedulingError
-from ..power.dvfs import PSTATES_MHZ
 from ..units import DVFS_MAX_MHZ, DVFS_MIN_MHZ
 from ..workloads.base import IDLE
 from .scheduler import Placement
 
-#: The discrete DVFS p-state frequency ladder of the platform, MHz
-#: (single source of truth in :mod:`repro.power.dvfs`).
-PSTATE_LADDER_MHZ = PSTATES_MHZ
+#: The platform's discrete DVFS p-state frequencies, MHz, ascending.
+PSTATE_LADDER_MHZ: tuple[float, ...] = (
+    DVFS_MIN_MHZ,
+    2500.0,
+    2900.0,
+    3300.0,
+    3700.0,
+    DVFS_MAX_MHZ,
+)
 
 
 @dataclass(frozen=True)

@@ -116,7 +116,7 @@ class CoreCpmArray:
         )
 
 
-def build_cpm_array(
+def build_cpm_array(  # repro-lint: disable=RL012 -- oracle: tests/integration/test_loop_convergence.py
     chip: ChipSpec,
     core: CoreSpec,
     rng: np.random.Generator | None = None,

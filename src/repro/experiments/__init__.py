@@ -1,8 +1,8 @@
 """One module per reproduced paper table/figure, plus ablations.
 
 Each module exposes ``run(seed=...) -> ExperimentResult``.  The registry
-maps experiment ids to their run functions so benchmarks, tests, and the
-``run_all`` convenience iterate one source of truth.
+maps experiment ids to their run functions so the CLI (``repro
+experiment all``), benchmarks, and tests iterate one source of truth.
 """
 
 from collections.abc import Callable
@@ -83,12 +83,4 @@ def run_experiment(experiment_id: str, **kwargs: object) -> ExperimentResult:
     return runner(**kwargs)  # type: ignore[arg-type]
 
 
-def run_all(seed: int = 2019) -> dict[str, ExperimentResult]:
-    """Run every registered experiment; returns results keyed by id."""
-    return {
-        experiment_id: runner(seed=seed)
-        for experiment_id, runner in REGISTRY.items()
-    }
-
-
-__all__ = ["REGISTRY", "ExperimentResult", "run_experiment", "run_all"]
+__all__ = ["REGISTRY", "ExperimentResult", "run_experiment"]

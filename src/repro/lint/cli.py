@@ -25,11 +25,12 @@ from .rules import ALL_RULES, PROJECT_RULES, get_project_rules, get_rules
 #: Default lint targets when none are given, filtered to those that exist.
 DEFAULT_PATHS = ("src", "tests")
 
-#: Default ``--project`` targets: analyze src, treat tests as roots only
-#: (their references keep API alive for RL012 / anchor RL010 flows, but
-#: findings inside tests themselves are not interesting).
+#: Default ``--project`` targets: analyze src; the root-only paths are
+#: loaded but never checked.  Their non-test modules (examples and
+#: benchmark drivers) are RL012 roots; test modules only anchor RL010
+#: flows and keep no API alive, so RL012 reports what only tests reach.
 PROJECT_DEFAULT_PATHS = ("src",)
-PROJECT_DEFAULT_ROOT_ONLY = ("tests",)
+PROJECT_DEFAULT_ROOT_ONLY = ("tests", "examples", "benchmarks")
 
 
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
@@ -38,7 +39,8 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         "paths",
         nargs="*",
         help="files or directories to lint (default: src tests; "
-        "with --project: src, with tests as reference roots)",
+        "with --project: src, with tests, examples and benchmarks "
+        "as root-only paths)",
     )
     parser.add_argument(
         "--project",
@@ -72,8 +74,9 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         action="append",
         default=None,
         metavar="PATH",
-        help="(--project) extra paths whose modules contribute reachability "
-        "roots and call sites but are never checked (default: tests)",
+        help="(--project) paths whose modules contribute call sites but are "
+        "never checked; their non-test modules are RL012 roots "
+        "(default: tests examples benchmarks)",
     )
     parser.add_argument(
         "--cache-dir",

@@ -23,7 +23,7 @@ from .symbols import ModuleInfo
 
 #: Bump when ModuleInfo's shape (or any extraction detail) changes, so
 #: caches written by older analyzers are ignored rather than misread.
-CACHE_SCHEMA_VERSION = 1
+CACHE_SCHEMA_VERSION = 2
 
 #: Default cache location, relative to the working directory.
 DEFAULT_CACHE_DIR = ".repro-lint-cache"

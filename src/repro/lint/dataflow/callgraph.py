@@ -3,20 +3,28 @@
 Nodes are top-level functions and classes (methods fold into their
 class).  Edges are static references: any ``Name`` or dotted
 ``Attribute`` inside a node's body that resolves to another project
-symbol.  Roots are everything that can execute without being referenced
-first:
+symbol.  Roots are what runs without a test driving it:
 
-* module top-level code (imports run it), including ``__all__`` exports
-  and the experiments ``REGISTRY`` literal;
-* every node in an *entry* module — ``cli``, ``__main__``, ``conftest``,
-  and the test tree (root-only paths);
-* doctest examples (``>>> call(...)`` lines in docstrings), because the
-  doctest runner executes them as tests.
+* module top-level code (imports run it), such as the experiments
+  ``REGISTRY`` literal;
+* every node in an *entry* module — ``cli``, ``__main__``, ``setup``,
+  and the non-test modules of the root-only paths (``examples/`` and
+  ``benchmarks/`` by default);
+* doctest examples (``>>> call(...)`` lines in docstrings), which
+  document how the product calls a symbol;
+* a definition marked as a declared oracle by an RL012 suppression on
+  its ``def`` line (``# repro-lint: disable=RL012 -- oracle: <test>``),
+  so the mark also covers everything the oracle builds.
+
+Test modules (``is_test``, ``conftest`` included) and ``__all__`` lists
+are *not* roots: a symbol that only tests or an export list name is API
+that nothing in the product uses.
 
 A public top-level symbol of a checked ``src/repro`` module that the BFS
 never reaches is dead public API.  The walk is conservative by design —
 a shadowed local that happens to share a function's name counts as a
-use — so every report is a symbol with *no* plausible static caller.
+use — so every report is a symbol with *no* plausible static caller
+outside the tests.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from .project import ProjectModel, Resolution
 from .symbols import ClassInfo, FunctionInfo, ModuleInfo, dotted_name
 
 #: Module name tails that make every contained symbol a root.
-_ENTRY_TAILS = frozenset({"cli", "__main__", "conftest", "setup"})
+_ENTRY_TAILS = frozenset({"cli", "__main__", "setup"})
 
 _DOCTEST_CALL_RE = re.compile(r"^\s*(?:>>>|\.\.\.)\s.*?\b([A-Za-z_][A-Za-z0-9_]*)\s*\(", re.M)
 
@@ -66,9 +74,8 @@ class ReferenceGraph:
 
     def _build(self) -> None:
         for module in self.project.all_modules:
-            is_entry = (
-                module.is_test
-                or module in self.project.root_only
+            is_entry = not module.is_test and (
+                module in self.project.root_only
                 or module.name.rpartition(".")[2] in _ENTRY_TAILS
             )
             for function in module.functions.values():
@@ -84,7 +91,7 @@ class ReferenceGraph:
                 self.edges[node] = self._references(
                     module, function.node, class_ctx=None
                 )
-                if is_entry:
+                if is_entry or module.is_suppressed("RL012", function.lineno):
                     self.roots.add(node)
             for cls in module.classes.values():
                 node = cls.qualname
@@ -100,9 +107,10 @@ class ReferenceGraph:
                 self.edges[node] = self._references(
                     module, cls.node, class_ctx=cls
                 )
-                if is_entry:
+                if is_entry or module.is_suppressed("RL012", cls.lineno):
                     self.roots.add(node)
-            self.roots.update(self._module_level_roots(module))
+            if not module.is_test:
+                self.roots.update(self._module_level_roots(module))
 
     def _module_level_roots(self, module: ModuleInfo) -> set[str]:
         """Targets referenced by code that runs at import time."""
@@ -111,12 +119,6 @@ class ReferenceGraph:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
             roots.update(self._references(module, stmt, class_ctx=None))
-        for export in module.exports:
-            resolution = self.project.resolve_dotted(module, export)
-            if resolution is not None:
-                node = _node_id(resolution)
-                if node is not None:
-                    roots.add(node)
         roots.update(self._doctest_roots(module))
         return roots
 
@@ -187,9 +189,10 @@ class ReferenceGraph:
                     module.path,
                     lineno,
                     col,
-                    f"public {kind} `{name}` is unreachable from the CLI, "
-                    "the experiments registry, and the tests; delete it or "
-                    "suppress with a justification",
+                    f"public {kind} `{name}` is reached only from tests or "
+                    "from nothing; delete it, give it a product caller, or "
+                    "mark a test oracle with `# repro-lint: disable=RL012 "
+                    "-- oracle: <test>`",
                 )
             )
         return sorted(set(findings))

@@ -69,7 +69,7 @@ DIMENSIONLESS_TAILS = frozenset(
 
 #: Exact (lowered) names that carry a unit without a suffix.  ``vdd`` is the
 #: supply rail and is always volts (see the RL004 parameter allowlist).
-#: ``mv`` is the millivolt-conversion parameter (`repro.units.millivolts`).
+#: ``mv`` is a bare millivolt quantity.
 NAMED_UNITS: dict[str, str] = {"vdd": "v", "nominal_vdd": "v", "mv": "mv"}
 
 

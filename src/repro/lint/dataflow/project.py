@@ -1,9 +1,10 @@
 """The :class:`ProjectModel`: whole-package symbol table and resolution.
 
 Built once per ``--project`` run from every ``.py`` file reachable from
-the given paths (plus optional *root-only* paths such as ``tests/``,
-which contribute reachability roots and call sites but are never
-themselves checked).  Modules are extracted through the sha256-keyed
+the given paths (plus optional *root-only* paths such as ``tests/`` and
+``examples/``, which contribute call sites but are never themselves
+checked; their non-test modules are RL012 roots).  Modules are
+extracted through the sha256-keyed
 :class:`~repro.lint.dataflow.cache.ModuleCache`, so warm runs skip
 parsing entirely.
 
@@ -66,7 +67,7 @@ class ProjectModel:
         self.cache = cache if cache is not None else ModuleCache(None)
         #: Modules under the analyzed paths — rules report findings here.
         self.modules: list[ModuleInfo] = []
-        #: Modules contributing roots/uses only (tests, conftest).
+        #: Modules contributing uses only (tests, examples, benchmarks).
         self.root_only: list[ModuleInfo] = []
         self._by_name: dict[str, ModuleInfo] = {}
         self._name_collisions: set[str] = set()

@@ -2,8 +2,8 @@
 
 One :class:`ModuleInfo` per source file, carrying everything the project
 rules need: the parsed tree, top-level functions and classes (with
-dataclass fields and methods), import bindings, ``__all__`` exports, and
-the suppression map.  The object graph is picklable, so
+dataclass fields and methods), import bindings, module-level constants,
+and the suppression map.  The object graph is picklable, so
 :mod:`repro.lint.dataflow.cache` can persist it keyed by the file's
 sha256.
 """
@@ -70,7 +70,7 @@ class Binding:
     """What a module-level name is bound to by an import.
 
     ``kind`` is ``"module"`` (``import repro.units as units``) or
-    ``"symbol"`` (``from repro.units import clamp``); ``target`` is the
+    ``"symbol"`` (``from repro.units import require_positive``); ``target`` is the
     dotted module name, with the symbol name appended after ``":"`` for
     symbol bindings.  Unresolvable (external) imports keep their dotted
     spelling so callers can still classify ``numpy.random.default_rng``.
@@ -94,7 +94,6 @@ class ModuleInfo:
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
     classes: dict[str, ClassInfo] = field(default_factory=dict)
     bindings: dict[str, Binding] = field(default_factory=dict)
-    exports: tuple[str, ...] = ()  # __all__ strings
     constants: tuple[str, ...] = ()  # module-level assigned names
 
     @property
@@ -286,7 +285,6 @@ def extract_module(
         is_test="tests" in parts or parts[-1].startswith("test_"),
         suppressions=parse_suppressions(source),
     )
-    exports: list[str] = []
     constants: list[str] = []
     for stmt in tree.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -302,18 +300,8 @@ def extract_module(
             for target in targets:
                 if isinstance(target, ast.Name):
                     constants.append(target.id)
-                    if target.id == "__all__" and isinstance(
-                        stmt.value, (ast.List, ast.Tuple)
-                    ):
-                        exports.extend(
-                            element.value
-                            for element in stmt.value.elts
-                            if isinstance(element, ast.Constant)
-                            and isinstance(element.value, str)
-                        )
     info.bindings = _extract_bindings(
         tree, name, is_package=file_path.stem == "__init__"
     )
-    info.exports = tuple(exports)
     info.constants = tuple(constants)
     return info

@@ -34,15 +34,10 @@ from .dimensions import (
 from .project import ProjectModel, iter_all_functions, iter_checked_functions
 from .symbols import ClassInfo, FunctionInfo, ModuleInfo, Param
 
-#: qualname -> return unit, for functions whose unit is not in their name.
-SIGNATURE_RETURNS: dict[str, str] = {
-    "repro.units:millivolts": "v",
-}
-
 #: Callables (by bare/attribute tail name) that return the merged unit of
 #: their arguments and require the quantity-typed arguments to agree.
 _MERGING_PASSTHROUGH = frozenset(
-    {"min", "max", "clamp", "maximum", "minimum", "fmin", "fmax", "where"}
+    {"min", "max", "maximum", "minimum", "fmin", "fmax", "where"}
 )
 
 #: Callables that return the unit of their (first typed) argument.
@@ -59,7 +54,6 @@ _VALUE_PASSTHROUGH = frozenset(
         "sorted",
         "sum",
         "require_positive",
-        "require_in_range",
     }
 )
 
@@ -78,10 +72,7 @@ class UnitAnalysis:
         self.project = project
         self.summaries: dict[str, str | None] = {}
         for _module, _cls, function in iter_all_functions(project):
-            declared = SIGNATURE_RETURNS.get(function.qualname)
-            if declared is None:
-                declared = unit_of_name(function.name)
-            self.summaries[function.qualname] = declared
+            self.summaries[function.qualname] = unit_of_name(function.name)
         self._converge()
 
     def _converge(self) -> None:

@@ -1,9 +1,12 @@
 """RL012 — dead-public-API rule.
 
-A public top-level symbol nobody can reach from the CLI, the experiments
-registry, or the tests is untested, unmaintained surface area — exactly
-the code that rots silently until a refactor trips over it.  The
-reference graph and reachability walk live in
+A public top-level symbol that nothing in the product reaches — not the
+CLI, the experiments registry, the examples or the benchmark drivers —
+is surface area that only tests (or nothing) exercise: it carries no
+user, so it rots silently until a refactor trips over it.  Tests and
+``__all__`` lists do not keep a symbol alive; a test oracle is declared
+with ``# repro-lint: disable=RL012 -- oracle: <test>`` on its ``def``
+line.  The reference graph and reachability walk live in
 :mod:`repro.lint.dataflow.callgraph`.
 """
 
@@ -15,14 +18,14 @@ from ..engine import Finding, ProjectRule
 
 
 class DeadPublicApiRule(ProjectRule):
-    """RL012: public symbols must be reachable from an entry point."""
+    """RL012: public symbols must be reachable from a product entry point."""
 
     rule_id = "RL012"
     severity = "warning"
     summary = "dead-public-api"
     rationale = (
-        "unreachable public symbols carry no tests and no callers; they "
-        "either deserve a caller, a test, an underscore, or deletion"
+        "public symbols that only tests reach carry no callers; they "
+        "either deserve a caller, an underscore, an oracle mark, or deletion"
     )
 
     def check(self, project) -> Iterable[Finding]:

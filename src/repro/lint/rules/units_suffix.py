@@ -76,8 +76,6 @@ NAME_ALLOWLIST = frozenset(
     {
         # alpha-power MOSFET delay law: "power" is an exponent, not watts.
         "alpha_power_delay_factor",
-        # unit-conversion helpers whose names *are* the unit.
-        "millivolts",
     }
 )
 

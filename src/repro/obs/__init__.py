@@ -46,7 +46,6 @@ from .sinks import (
     EventSink,
     JsonlFileSink,
     RingBufferSink,
-    TeeSink,
     read_jsonl,
 )
 from .trace import Span, Tracer
@@ -67,7 +66,6 @@ __all__ = [
     "EventSink",
     "RingBufferSink",
     "JsonlFileSink",
-    "TeeSink",
     "read_jsonl",
     "Counter",
     "Gauge",

@@ -36,7 +36,6 @@ from .diff import (
     diff_documents,
     diff_manifests,
     diff_streams,
-    explain_divergence,
 )
 from .fleet_health import ChipHealth, FleetHealthReport, assess_fleet
 from .history import (
@@ -62,7 +61,6 @@ __all__ = [
     "diff_documents",
     "diff_manifests",
     "diff_streams",
-    "explain_divergence",
     "ChipHealth",
     "FleetHealthReport",
     "assess_fleet",

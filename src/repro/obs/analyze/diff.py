@@ -255,21 +255,6 @@ def diff_streams(
     )
 
 
-def explain_divergence(
-    left_path: str | Path,
-    right_path: str | Path,
-    *,
-    context: int = DEFAULT_CONTEXT,
-) -> str | None:
-    """Rendered first-divergence report, or ``None`` for identical streams.
-
-    The golden tests use this as their failure message: instead of a raw
-    byte-compare assertion they print the exact first diverging event.
-    """
-    diff = diff_streams(left_path, right_path, context=context)
-    return None if diff.identical else diff.render()
-
-
 @dataclass(frozen=True)
 class ManifestDiff:
     """Classified mismatch between two run manifests."""

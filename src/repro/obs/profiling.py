@@ -23,7 +23,6 @@ exemption; ``repro lint`` keeps flagging host-clock reads anywhere else.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 
 
 def wall_clock_s() -> float:
@@ -38,18 +37,3 @@ def wall_clock_tick_source() -> float:
     call sites read ``Tracer(wall_source=wall_clock_tick_source)``.
     """
     return wall_clock_s()
-
-
-@contextmanager
-def stopwatch():
-    """Measure a block's wall-clock duration.
-
-    Yields a zero-argument callable that returns the seconds elapsed since
-    the block was entered (callable both inside and after the block)::
-
-        with stopwatch() as elapsed_s:
-            run_experiment(...)
-        print(f"{elapsed_s():.2f}s")
-    """
-    start_s = wall_clock_s()
-    yield lambda: wall_clock_s() - start_s

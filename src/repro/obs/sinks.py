@@ -242,23 +242,6 @@ class JsonlFileSink(EventSink):
             self._closed = True
 
 
-class TeeSink(EventSink):
-    """Fans every event out to several sinks (e.g. ring buffer + file)."""
-
-    def __init__(self, *sinks: EventSink):
-        if not sinks:
-            raise ConfigurationError("TeeSink needs at least one sink")
-        self._sinks = sinks
-
-    def emit(self, event: ObsEvent) -> None:
-        for sink in self._sinks:
-            sink.emit(event)
-
-    def close(self) -> None:
-        for sink in self._sinks:
-            sink.close()
-
-
 def read_jsonl(path: str | Path) -> Iterator[ObsEvent]:
     """Parse a JSONL event file back into typed events, in file order.
 
@@ -344,13 +327,3 @@ def read_jsonl_documents(
                 f"{source}:{lineno}: not valid JSON: {exc}"
             ) from exc
     return documents, skipped
-
-
-def read_jsonl_tolerant(path: str | Path) -> tuple[list[ObsEvent], int]:
-    """Typed variant of :func:`read_jsonl_documents` in tolerant mode.
-
-    Returns ``(events, skipped_lines)`` where ``skipped_lines`` counts a
-    truncated final line (0 or 1).
-    """
-    documents, skipped = read_jsonl_documents(path, tolerant=True)
-    return [event_from_dict(document) for document in documents], skipped

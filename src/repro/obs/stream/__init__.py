@@ -10,7 +10,7 @@ growing memory with sample count or event count:
   deterministic compacting streaming quantiles (p50/p95/p99 in bounded
   memory, same inputs ⇒ same sketch bytes);
 * :mod:`~repro.obs.stream.histogram` — :class:`MergeableHistogram`,
-  exact fixed/exponential-bucket histograms with order-invariant merge;
+  exact fixed-bucket histograms with order-invariant merge;
 * :mod:`~repro.obs.stream.window` — :class:`WindowedAggregator`,
   per-tick-window stats keyed on obs ticks;
 * :mod:`~repro.obs.stream.rotate` — :class:`RotatingJsonlSink` and the
@@ -28,7 +28,7 @@ into byte-identical rollups regardless of chunk size or scheduling.
 
 from .exact import ExactSum, MergeableStat
 from .flame import FLAME_FORMATS, chrome_trace, render_flame, speedscope_profile
-from .histogram import MergeableHistogram, exponential_bounds
+from .histogram import MergeableHistogram
 from .progress import ProgressReporter
 from .rotate import (
     DEFAULT_EVENTS_PER_SEGMENT,
@@ -55,7 +55,6 @@ __all__ = [
     "WindowedAggregator",
     "chrome_trace",
     "compact_segments",
-    "exponential_bounds",
     "is_segment_index",
     "load_segment_index",
     "read_segmented_documents",

@@ -1,4 +1,4 @@
-"""Exact mergeable histograms (fixed or exponential bucket layouts).
+"""Exact mergeable histograms over fixed bucket bounds.
 
 A :class:`MergeableHistogram` is the bucketed complement of
 :class:`~repro.obs.stream.sketch.QuantileSketch`: the caller fixes the
@@ -10,9 +10,7 @@ merging partial histograms from any chunking or worker scheduling yields
 the same state as observing the union stream directly.
 
 Two histograms merge only if their bucket bounds are identical — the
-bounds are part of the type, the counts are the state.  Use
-:func:`exponential_bounds` to build log-spaced layouts for quantities
-spanning orders of magnitude (latencies, iteration counts).
+bounds are part of the type, the counts are the state.
 """
 
 from __future__ import annotations
@@ -22,17 +20,6 @@ from collections.abc import Sequence
 
 from ...errors import ConfigurationError
 from .exact import MergeableStat
-
-
-def exponential_bounds(start: float, factor: float, count: int) -> tuple[float, ...]:
-    """Log-spaced bucket upper bounds: ``start * factor**i`` for i < count."""
-    if start <= 0.0:
-        raise ConfigurationError(f"start must be > 0, got {start}")
-    if factor <= 1.0:
-        raise ConfigurationError(f"factor must be > 1, got {factor}")
-    if count < 1:
-        raise ConfigurationError(f"count must be >= 1, got {count}")
-    return tuple(start * factor**i for i in range(count))
 
 
 class MergeableHistogram:

@@ -11,7 +11,6 @@ of :mod:`~repro.obs.tsdb.series` (in-memory model),
 
 from .capture import (
     capture_documents,
-    capture_registry,
     capture_stream,
     capture_summary,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "Tsdb",
     "TsdbStore",
     "capture_documents",
-    "capture_registry",
     "capture_stream",
     "capture_summary",
     "openmetrics_name",

@@ -1,10 +1,7 @@
-"""Feeding a tsdb: registry snapshots, event documents, JSONL streams.
+"""Feeding a tsdb: event documents, JSONL streams, manifest summaries.
 
-Three ingest paths, all deterministic:
+Two ingest paths, both deterministic:
 
-* :func:`capture_registry` — the live path.  Exact-mode gauges
-  contribute their full ``(tick, value)`` history; counters, streaming
-  gauges, and histograms contribute one headline sample at tick 0.
 * :func:`capture_documents` / :func:`capture_stream` — the replay path.
   Event documents become per-type occurrence series (``events.<Type>``)
   plus value series for the numeric fields worth alerting on (CPM slack,
@@ -34,33 +31,6 @@ EVENT_VALUE_METRICS = {
     "GuardbandViolationEvent": (("deficit_ps", "guardband.deficit_ps"),),
     "DriftAlertEvent": (("mean_residual_mhz", "drift.residual_mhz"),),
 }
-
-
-def capture_registry(tsdb: Tsdb, registry) -> int:
-    """Fold a :class:`~repro.obs.metrics.MetricsRegistry` snapshot in.
-
-    Returns the number of samples recorded.  Execution-scoped
-    instruments are excluded the same way ``to_summary`` excludes them.
-    """
-    # Imported lazily: analyze pulls in fleet_health -> core.fleet, which
-    # itself imports this package; a module-level import would cycle.
-    from ..analyze.history import headline_value
-
-    summary = registry.to_summary()
-    instruments = registry.to_state()["instruments"]
-    recorded = 0
-    for name in sorted(summary):
-        state = instruments[name]
-        if state.get("kind") == "gauge" and state.get("mode") == "exact":
-            for tick, value in state["samples"]:
-                tsdb.record(name, float(tick), float(value))
-                recorded += 1
-            continue
-        value = headline_value(summary[name])
-        if value is not None:
-            tsdb.record(name, 0.0, value)
-            recorded += 1
-    return recorded
 
 
 def capture_summary(tsdb: Tsdb, metrics_summary: dict) -> int:

@@ -136,7 +136,7 @@ def _unescape_label(raw: str) -> str:
     )
 
 
-def parse_openmetrics(text: str) -> dict:
+def parse_openmetrics(text: str) -> dict:  # repro-lint: disable=RL012 -- oracle: tests/obs/test_openmetrics.py, tools/check.sh
     """Parse an OpenMetrics text page.
 
     Returns ``{"types": {family: type}, "samples": [{"name", "labels",

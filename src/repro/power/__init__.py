@@ -13,7 +13,7 @@ This subpackage supplies every electrical quantity the ATM loop reacts to:
 """
 
 from .pdn import PowerDeliveryNetwork, DroopResponse
-from .core_power import chip_power_w, core_power_w, power_breakdown
+from .core_power import chip_power_w, core_power_w
 from .didt import DidtEvent, DidtEventGenerator
 from .thermal import ThermalModel
 
@@ -22,7 +22,6 @@ __all__ = [
     "DroopResponse",
     "chip_power_w",
     "core_power_w",
-    "power_breakdown",
     "DidtEvent",
     "DidtEventGenerator",
     "ThermalModel",

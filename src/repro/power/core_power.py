@@ -11,7 +11,6 @@ building intermediate objects.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from ..errors import ConfigurationError
 from ..silicon.chipspec import ChipSpec
@@ -75,45 +74,3 @@ def chip_power_w(
             gated=gate_flags[index],
         )
     return total
-
-
-@dataclass(frozen=True)
-class PowerBreakdown:
-    """Itemized chip power at one operating point."""
-
-    per_core_w: tuple[float, ...]
-    uncore_w: float
-
-    @property
-    def total_w(self) -> float:
-        return sum(self.per_core_w) + self.uncore_w
-
-
-def power_breakdown(
-    chip: ChipSpec,
-    freqs_mhz: Sequence[float],
-    activities: Sequence[float],
-    vdd: float = NOMINAL_VDD,
-    temperature_c: float = AMBIENT_TEMPERATURE_C,
-    gated: Sequence[bool] | None = None,
-) -> PowerBreakdown:
-    """Like :func:`chip_power_w` but itemized for telemetry and tests."""
-    if len(freqs_mhz) != chip.n_cores or len(activities) != chip.n_cores:
-        raise ConfigurationError(
-            f"need {chip.n_cores} per-core entries, got "
-            f"{len(freqs_mhz)} freqs / {len(activities)} activities"
-        )
-    gate_flags = list(gated) if gated is not None else [False] * chip.n_cores
-    per_core = tuple(
-        core_power_w(
-            chip,
-            index,
-            freqs_mhz[index],
-            activities[index],
-            vdd,
-            temperature_c,
-            gated=gate_flags[index],
-        )
-        for index in range(chip.n_cores)
-    )
-    return PowerBreakdown(per_core_w=per_core, uncore_w=chip.uncore_power_w)

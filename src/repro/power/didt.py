@@ -92,50 +92,6 @@ class DidtEventGenerator:
             for t, a in zip(starts, magnitudes)
         ]
 
-    def events_phased(
-        self,
-        rng: np.random.Generator,
-        duration_ns: float,
-        phase_activity: "list[tuple[float, float]]",
-        *,
-        synchronized_cores: int = 1,
-    ) -> list[DidtEvent]:
-        """Draw events with a piecewise-constant activity profile.
-
-        ``phase_activity`` is a list of ``(duration_ns, didt_activity)``
-        segments tiled periodically across ``duration_ns`` — the transient
-        face of :class:`repro.workloads.phases.PhasedWorkload`.  Bursty
-        phases therefore cluster their events, which is how real
-        applications produce the droop trains that defeat averaged models.
-        """
-        require_positive(duration_ns, "duration_ns")
-        if not phase_activity:
-            raise ConfigurationError("phase_activity must not be empty")
-        for segment_ns, activity in phase_activity:
-            if segment_ns <= 0.0:
-                raise ConfigurationError("phase durations must be positive")
-            if activity < 0.0:
-                raise ConfigurationError("phase activities must be >= 0")
-        events: list[DidtEvent] = []
-        cursor = 0.0
-        index = 0
-        while cursor < duration_ns:
-            segment_ns, activity = phase_activity[index % len(phase_activity)]
-            window = min(segment_ns, duration_ns - cursor)
-            if activity > 0.0 and window > 0.0:
-                for event in self.events(
-                    rng, window, activity, synchronized_cores=synchronized_cores
-                ):
-                    events.append(
-                        DidtEvent(
-                            start_ns=cursor + event.start_ns,
-                            current_step_a=event.current_step_a,
-                        )
-                    )
-            cursor += window
-            index += 1
-        return events
-
     def worst_expected_step_a(
         self, didt_activity: float, *, synchronized_cores: int = 1, quantile: float = 0.99
     ) -> float:

@@ -25,7 +25,6 @@ from .chipspec import (
     core_label,
     power7plus_testbed,
     sample_chip,
-    sample_server,
 )
 
 __all__ = [
@@ -41,5 +40,4 @@ __all__ = [
     "core_label",
     "power7plus_testbed",
     "sample_chip",
-    "sample_server",
 ]

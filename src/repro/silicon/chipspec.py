@@ -28,7 +28,7 @@ Two factories build complete servers:
     reproduces the paper's tables.  See DESIGN.md §2 for the substitution
     argument.
 
-:func:`sample_chip` / :func:`sample_server`
+:func:`sample_chip`
     Randomly manufactured chips drawn from
     :class:`repro.silicon.process.ProcessVariationModel`, with factory
     presets chosen by the calibration procedure in
@@ -826,20 +826,3 @@ def sample_chip(
     return draw_chip(
         seed, chip_id, n_cores=n_cores, variation=variation
     ).materialize()
-
-
-def sample_server(
-    seed: int,
-    *,
-    n_chips: int = CHIPS_PER_SERVER,
-    n_cores: int = CORES_PER_CHIP,
-    variation: ProcessVariationModel | None = None,
-) -> ServerSpec:
-    """Manufacture a random multi-chip server (see :func:`sample_chip`)."""
-    if n_chips < 1:
-        raise ConfigurationError(f"n_chips must be >= 1, got {n_chips}")
-    chips = tuple(
-        sample_chip(seed + 1000 * i, chip_id=f"P{i}", n_cores=n_cores, variation=variation)
-        for i in range(n_chips)
-    )
-    return ServerSpec(name=f"sampled-server-{seed}", chips=chips)

@@ -12,9 +12,9 @@ power        watts           per-core and chip totals
 temperature  degrees C       die temperature
 ===========  ==============  =========================================
 
-Helper functions convert between cycle time and frequency and clamp values
-into physical ranges.  Constants describing the POWER7+ platform as reported
-by the paper live here so every module quotes a single source of truth.
+Helper functions convert frequency to cycle time and validate that values
+are positive.  Constants describing the POWER7+ platform as reported by the
+paper live here so every module quotes a single source of truth.
 """
 
 from __future__ import annotations
@@ -92,42 +92,8 @@ def mhz_to_cycle_ps(freq_mhz: float) -> float:
     return _PS_PER_SECOND / (freq_mhz / _MHZ_PER_HZ)
 
 
-def cycle_ps_to_mhz(cycle_ps: float) -> float:
-    """Return the clock frequency in MHz for a cycle time in picoseconds.
-
-    >>> round(cycle_ps_to_mhz(238.095), 0)
-    4200.0
-    """
-    if cycle_ps <= 0.0:
-        raise ConfigurationError(f"cycle time must be positive, got {cycle_ps} ps")
-    return _PS_PER_SECOND / cycle_ps * _MHZ_PER_HZ
-
-
-def millivolts(mv: float) -> float:
-    """Convert millivolts to the internal volts unit."""
-    return mv / 1000.0
-
-
-def clamp(value: float, low: float, high: float) -> float:
-    """Clamp ``value`` into ``[low, high]``.
-
-    ``low`` must not exceed ``high``; that indicates a caller bug and raises
-    :class:`ConfigurationError` rather than silently swapping the bounds.
-    """
-    if low > high:
-        raise ConfigurationError(f"clamp bounds inverted: [{low}, {high}]")
-    return max(low, min(high, value))
-
-
 def require_positive(value: float, name: str) -> float:
     """Validate that ``value`` is strictly positive and return it."""
     if not value > 0.0:
         raise ConfigurationError(f"{name} must be positive, got {value!r}")
-    return value
-
-
-def require_in_range(value: float, low: float, high: float, name: str) -> float:
-    """Validate ``low <= value <= high`` and return ``value``."""
-    if not (low <= value <= high):
-        raise ConfigurationError(f"{name} must be in [{low}, {high}], got {value!r}")
     return value

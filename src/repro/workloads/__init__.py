@@ -8,7 +8,6 @@ paper's Table II critical/background taxonomy.
 """
 
 from .base import IDLE, Suite, Workload
-from .phases import Phase, PhasedWorkload, x264_like
 from .classification import (
     AppClass,
     MemBehavior,
@@ -53,9 +52,6 @@ __all__ = [
     "IDLE",
     "Suite",
     "Workload",
-    "Phase",
-    "PhasedWorkload",
-    "x264_like",
     "AppClass",
     "MemBehavior",
     "Role",

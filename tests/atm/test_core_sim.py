@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.atm.core_sim import AtmCore, SafetyProbe, equilibrium_frequency_mhz
+from repro.atm.core_sim import SafetyProbe, equilibrium_frequency_mhz
 from repro.errors import ConfigurationError
 from repro.units import DEFAULT_ATM_IDLE_MHZ
 from repro.workloads.base import IDLE
@@ -138,22 +138,3 @@ class TestSafetyProbe:
         idle_limit = probe.max_safe_reduction(core, IDLE)
         x264_limit = probe.rollback_to_safe(core, X264, start=idle_limit)
         assert x264_limit <= idle_limit
-
-
-class TestAtmCore:
-    def test_reduction_raises_frequency(self, testbed):
-        chip = testbed.chips[0]
-        atm_core = AtmCore(chip=chip, core=chip.cores[0])
-        tuned = atm_core.with_reduction(5)
-        assert tuned.frequency_mhz() > atm_core.frequency_mhz()
-
-    def test_safety_delegates(self, testbed):
-        chip = testbed.chips[0]
-        core = chip.cores[0]
-        atm_core = AtmCore(chip=chip, core=core, reduction_steps=core.preset_code)
-        assert not atm_core.is_safe(X264)
-
-    def test_invalid_reduction_rejected(self, testbed):
-        chip = testbed.chips[0]
-        with pytest.raises(ConfigurationError):
-            AtmCore(chip=chip, core=chip.cores[0], reduction_steps=99)

@@ -17,14 +17,18 @@ from repro.core.char_record import CharRecorder
 from repro.obs.events import event_to_dict
 from repro.obs.runtime import Observability, observed
 from repro.obs.sinks import NullSink, RingBufferSink
-from repro.silicon import power7plus_testbed, sample_server
+from repro.silicon import power7plus_testbed, sample_chip
 from repro.workloads.base import IDLE
 from repro.workloads.registry import realistic_applications
 from repro.workloads.ubench import UBENCH_SUITE
 
 from .scalar_walk import ScalarSafetyProbe, scalar_slack_ps
 
-CORES = power7plus_testbed().all_cores + sample_server(7).all_cores
+CORES = (
+    power7plus_testbed().all_cores
+    + sample_chip(7, chip_id="P0").cores
+    + sample_chip(1007, chip_id="P1").cores
+)
 WORKLOADS = (IDLE, *UBENCH_SUITE, *realistic_applications())
 CONTEXTS = ("dark", "metrics", "events")
 

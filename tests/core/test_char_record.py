@@ -23,7 +23,7 @@ from repro.core.char_record import (
 )
 from repro.core.characterize import Characterizer
 from repro.rng import RngStreams
-from repro.silicon import sample_server
+from repro.silicon import sample_chip
 
 
 class RowLog(CharRecorder):
@@ -102,7 +102,7 @@ def _row_encoding(recorder: RowLog, labels, probe_count) -> bytes:
 
 class TestColumnEncoding:
     def test_live_characterization_payload(self):
-        chip = sample_server(7).chips[0]
+        chip = sample_chip(7, chip_id="P0")
         recorder = RowLog()
         characterizer = Characterizer(
             RngStreams(2019), trials=4, noise_sigma_ps=0.1, recorder=recorder

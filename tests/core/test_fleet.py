@@ -6,7 +6,6 @@ import pytest
 
 from repro.atm.chip_sim import MarginMode
 from repro.core.fleet import (
-    RunningStat,
     characterize_fleet,
     collect_chip_stats,
     quantile_from_counts,
@@ -36,20 +35,6 @@ class TestQuantileFromCounts:
     def test_out_of_range_quantile_rejected(self):
         with pytest.raises(ConfigurationError):
             quantile_from_counts({1: 1}, 1.5)
-
-
-class TestRunningStat:
-    def test_streams_min_mean_max(self):
-        stat = RunningStat()
-        for value in (3.0, 1.0, 2.0):
-            stat.add(value)
-        assert stat.minimum == 1.0
-        assert stat.maximum == 3.0
-        assert stat.mean == pytest.approx(2.0)
-
-    def test_empty_mean_rejected(self):
-        with pytest.raises(ConfigurationError):
-            RunningStat().mean
 
 
 class TestFleetValidation:

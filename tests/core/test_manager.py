@@ -3,9 +3,8 @@
 import pytest
 
 from repro.core.governor import GovernorPolicy
-from repro.core.manager import AtmManager, build_manager
+from repro.core.manager import AtmManager
 from repro.errors import ConfigurationError
-from repro.rng import RngStreams
 from repro.units import STATIC_MARGIN_MHZ
 from repro.workloads.dnn import SEQ2SEQ, SQUEEZENET
 from repro.workloads.parsec import STREAMCLUSTER, SWAPTIONS
@@ -119,12 +118,3 @@ class TestManagerMachinery:
         robust = p0_limits.most_robust_cores(4)
         critical_core = next(iter(result.placement.critical))
         assert critical_core in robust
-
-    def test_build_manager_characterizes_when_needed(self, chip0_sim):
-        manager = build_manager(chip0_sim, RngStreams(41))
-        assert len(manager.reductions) == 8
-        assert all(r >= 0 for r in manager.reductions)
-
-    def test_build_manager_accepts_limits(self, chip0_sim, p0_limits):
-        manager = build_manager(chip0_sim, RngStreams(41), limits=p0_limits)
-        assert manager.reductions == p0_limits.row("thread worst")

@@ -6,11 +6,9 @@ import pytest
 
 from repro.core.persistence import (
     SCHEMA_VERSION,
-    deployment_from_dict,
     deployment_to_dict,
     limit_table_from_dict,
     limit_table_to_dict,
-    load_deployment,
     load_limit_table,
     save_deployment,
     save_limit_table,
@@ -86,30 +84,4 @@ class TestDeploymentRoundTrip:
 
     def test_round_trip(self, config, tmp_path):
         path = save_deployment(config, tmp_path / "deploy.json")
-        loaded = load_deployment(path)
-        assert loaded.chip_id == config.chip_id
-        assert loaded.rollback_steps == 1
-        for label, deployment in config.cores.items():
-            assert loaded.cores[label] == deployment
-
-    def test_reductions_survive_round_trip(self, config, chip0, tmp_path):
-        path = save_deployment(config, tmp_path / "deploy.json")
-        loaded = load_deployment(path)
-        assert loaded.reductions(chip0) == config.reductions(chip0)
-
-    def test_wrong_kind_rejected(self, config):
-        document = deployment_to_dict(config)
-        document["kind"] = "limit_table"
-        with pytest.raises(ConfigurationError):
-            deployment_from_dict(document)
-
-    def test_malformed_core_rejected(self, config):
-        document = deployment_to_dict(config)
-        first = next(iter(document["cores"]))
-        del document["cores"][first]["validated_limit"]
-        with pytest.raises(ConfigurationError):
-            deployment_from_dict(document)
-
-    def test_missing_file_rejected(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            load_deployment(tmp_path / "nope.json")
+        assert json.loads(path.read_text()) == deployment_to_dict(config)

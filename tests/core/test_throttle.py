@@ -13,6 +13,7 @@ from repro.core.throttle import (
 )
 from repro.errors import ConfigurationError, SchedulingError
 from repro.silicon.chipspec import TESTBED_THREAD_WORST_LIMITS
+from repro.units import DVFS_MAX_MHZ, DVFS_MIN_MHZ
 from repro.workloads.dnn import SQUEEZENET
 from repro.workloads.spec import X264
 
@@ -32,6 +33,11 @@ def reductions():
 
 
 class TestSettings:
+    def test_pstate_ladder_invariants(self):
+        assert list(PSTATE_LADDER_MHZ) == sorted(set(PSTATE_LADDER_MHZ))
+        assert PSTATE_LADDER_MHZ[0] == DVFS_MIN_MHZ
+        assert PSTATE_LADDER_MHZ[-1] == DVFS_MAX_MHZ
+
     def test_ladder_order(self):
         # First entry unthrottled, last entry gated.
         assert THROTTLE_LADDER[0].cap_mhz is None and not THROTTLE_LADDER[0].gated

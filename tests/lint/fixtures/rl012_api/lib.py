@@ -1,4 +1,4 @@
-"""RL012 fixture library: one used, one dead, one private symbol."""
+"""RL012 fixture library: used, dead, private and test-only symbols."""
 
 
 def used_helper():
@@ -11,3 +11,7 @@ def dead_helper():
 
 def _private_scratch():
     return 44
+
+
+def tests_only_helper():
+    return 45

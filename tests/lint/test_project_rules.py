@@ -65,25 +65,55 @@ class TestObsContractRL011:
         assert analyze_project([FIXTURES / "rl011_good.py"]) == []
 
 
+#: The corpus's test module, written at copy time: a ``test_*.py`` file in
+#: the fixture tree would be collected by pytest.
+RL012_TEST_MODULE = """from lib import tests_only_helper
+
+
+def test_tests_only_helper():
+    assert tests_only_helper() == 45
+"""
+
+
+def _rl012_corpus(tmp_path):
+    # Copied out of tests/ so the corpus is not classified as test code.
+    corpus = tmp_path / "rl012_api"
+    shutil.copytree(FIXTURES / "rl012_api", corpus)
+    (corpus / "test_lib.py").write_text(RL012_TEST_MODULE, encoding="utf-8")
+    return corpus
+
+
 class TestDeadApiRL012:
     def test_dead_public_symbol_flags_once(self, tmp_path):
-        # Copied out of tests/ so the corpus is not classified as test code.
-        corpus = tmp_path / "rl012_api"
-        shutil.copytree(FIXTURES / "rl012_api", corpus)
-        findings = analyze_project([corpus])
-        assert len(findings) == 1
-        finding = findings[0]
+        findings = analyze_project([_rl012_corpus(tmp_path)])
+        (finding,) = [f for f in findings if "dead_helper" in f.message]
         assert finding.rule_id == "RL012"
         assert finding.path.endswith("lib.py")
         assert finding.line == 8
-        assert "dead_helper" in finding.message
+        assert "reached only from tests or from nothing" in finding.message
 
     def test_used_and_private_symbols_do_not_flag(self, tmp_path):
-        corpus = tmp_path / "rl012_api"
-        shutil.copytree(FIXTURES / "rl012_api", corpus)
-        messages = [finding.message for finding in analyze_project([corpus])]
+        messages = [
+            finding.message for finding in analyze_project([_rl012_corpus(tmp_path)])
+        ]
         assert not any("used_helper" in message for message in messages)
         assert not any("_private_scratch" in message for message in messages)
+
+    def test_symbol_reached_only_from_a_test_module_flags(self, tmp_path):
+        findings = analyze_project([_rl012_corpus(tmp_path)])
+        (finding,) = [f for f in findings if "tests_only_helper" in f.message]
+        assert finding.path.endswith("lib.py")
+        assert finding.line == 16
+
+    def test_symbol_named_only_in_all_flags(self, tmp_path):
+        findings = analyze_project([_rl012_corpus(tmp_path)])
+        (finding,) = [f for f in findings if "export_only_helper" in f.message]
+        assert finding.path.endswith("exports.py")
+        assert finding.line == 6
+
+    def test_marked_oracle_keeps_what_it_builds(self, tmp_path):
+        findings = analyze_project([_rl012_corpus(tmp_path)])
+        assert not [f for f in findings if f.path.endswith("oracle.py")]
 
 
 class TestSuppressionsAndSelection:

@@ -28,11 +28,13 @@ class TestSelfClean:
         assert findings == [], f"lint findings in tests:\n{rendered}"
 
     def test_project_rules_have_zero_findings(self):
-        """RL009-RL012 over src with tests as reachability roots: empty."""
+        """RL009-RL012 over src with the CLI's default root-only paths: empty."""
+        from repro.lint.cli import PROJECT_DEFAULT_ROOT_ONLY
         from repro.lint.dataflow.project import analyze_project
 
         findings = analyze_project(
-            [REPO_ROOT / "src"], root_only_paths=[REPO_ROOT / "tests"]
+            [REPO_ROOT / "src"],
+            root_only_paths=[REPO_ROOT / path for path in PROJECT_DEFAULT_ROOT_ONLY],
         )
         rendered = "\n".join(finding.render() for finding in findings)
         assert findings == [], f"project findings in src:\n{rendered}"

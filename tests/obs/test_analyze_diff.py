@@ -8,7 +8,6 @@ from repro.obs.analyze.diff import (
     diff_documents,
     diff_manifests,
     diff_streams,
-    explain_divergence,
 )
 from repro.obs.manifest import RunManifest
 
@@ -122,7 +121,7 @@ class TestDiffStreams:
         assert diff.identical
         assert "truncated line(s) skipped" in diff.render()
 
-    def test_explain_divergence_none_for_identical(self, tmp_path):
+    def test_identical_streams_diff_clean(self, tmp_path):
         import json
 
         line = json.dumps(_doc(0)) + "\n"
@@ -130,18 +129,18 @@ class TestDiffStreams:
         left.write_text(line)
         right = tmp_path / "b.jsonl"
         right.write_text(line)
-        assert explain_divergence(left, right) is None
+        assert diff_streams(left, right).identical
 
-    def test_explain_divergence_renders_for_differing(self, tmp_path):
+    def test_differing_streams_render_the_field(self, tmp_path):
         import json
 
         left = tmp_path / "a.jsonl"
         left.write_text(json.dumps(_doc(0, slack_ps=1.0)) + "\n")
         right = tmp_path / "b.jsonl"
         right.write_text(json.dumps(_doc(0, slack_ps=2.0)) + "\n")
-        text = explain_divergence(left, right)
-        assert text is not None
-        assert "slack_ps" in text
+        diff = diff_streams(left, right)
+        assert not diff.identical
+        assert "slack_ps" in diff.render()
 
 
 class TestDiffManifests:

@@ -11,7 +11,7 @@ diff against this oracle.
 """
 
 from repro.experiments.common import run_observed
-from repro.obs.analyze.diff import diff_manifests, explain_divergence
+from repro.obs.analyze.diff import diff_manifests, diff_streams
 from repro.obs.events import RollbackEvent
 from repro.obs.sinks import read_jsonl
 from repro.silicon.chipspec import (
@@ -65,8 +65,10 @@ class TestFig11Golden:
         second = run_observed("fig11", seed=SEED, out_dir=tmp_path / "b")
         # On failure the analyze layer pinpoints the first diverging seq
         # and field instead of an opaque byte mismatch.
-        delta = explain_divergence(first.events_path, second.events_path)
-        assert delta is None, f"fig11 same-seed event streams diverged:\n{delta}"
+        delta = diff_streams(first.events_path, second.events_path)
+        assert delta.identical, (
+            f"fig11 same-seed event streams diverged:\n{delta.render()}"
+        )
         manifest_diff = diff_manifests(first.manifest_path, second.manifest_path)
         assert manifest_diff.identical, (
             f"fig11 same-seed manifests drifted:\n{manifest_diff.render()}"

@@ -16,7 +16,7 @@ from repro.obs.events import (
 )
 from repro.obs.runtime import Observability, observed
 from repro.obs.sinks import RingBufferSink
-from repro.silicon.chipspec import sample_server
+from repro.silicon.chipspec import sample_chip
 from repro.workloads.base import IDLE
 
 
@@ -29,7 +29,7 @@ def obs():
 
 @pytest.fixture()
 def chip():
-    return sample_server(7).chips[0]
+    return sample_chip(7, chip_id="P0")
 
 
 class TestProbeInstrumentation:

@@ -9,11 +9,9 @@ from repro.obs.sinks import (
     JsonlFileSink,
     NullSink,
     RingBufferSink,
-    TeeSink,
     event_to_json_line,
     read_jsonl,
     read_jsonl_documents,
-    read_jsonl_tolerant,
 )
 
 
@@ -79,17 +77,17 @@ class TestTolerantRead:
         intact = event_to_json_line(_step())
         # A crashed writer leaves a partial final record behind.
         path.write_text(intact + "\n" + intact[: len(intact) // 2] + "\n")
-        events, skipped = read_jsonl_tolerant(path)
+        documents, skipped = read_jsonl_documents(path, tolerant=True)
         assert skipped == 1
-        assert len(events) == 1
-        assert events[0].seq == 0
+        assert len(documents) == 1
+        assert documents[0]["seq"] == 0
 
     def test_intact_stream_reports_zero_skipped(self, tmp_path):
         path = tmp_path / "e.jsonl"
         path.write_text(event_to_json_line(_step()) + "\n")
-        events, skipped = read_jsonl_tolerant(path)
+        documents, skipped = read_jsonl_documents(path, tolerant=True)
         assert skipped == 0
-        assert len(events) == 1
+        assert len(documents) == 1
 
     def test_mid_stream_corruption_still_rejected(self, tmp_path):
         path = tmp_path / "e.jsonl"
@@ -106,21 +104,6 @@ class TestTolerantRead:
         path.write_text(intact + "\n{\"half\":\n")
         with pytest.raises(ConfigurationError):
             read_jsonl_documents(path, tolerant=False)
-
-
-class TestTeeSink:
-    def test_fans_out_to_all_sinks(self, tmp_path):
-        ring = RingBufferSink()
-        file_sink = JsonlFileSink(tmp_path / "e.jsonl")
-        tee = TeeSink(ring, file_sink)
-        tee.emit(_step())
-        tee.close()
-        assert ring.total_emitted == 1
-        assert file_sink.count == 1
-
-    def test_needs_at_least_one_sink(self):
-        with pytest.raises(ConfigurationError):
-            TeeSink()
 
 
 class TestObservability:

@@ -17,9 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ConfigurationError
 from repro.obs.metrics import MetricsRegistry, identity_tick
 from repro.obs.stream.exact import ExactSum, MergeableStat
-from repro.obs.stream.histogram import MergeableHistogram, exponential_bounds
+from repro.obs.stream.histogram import MergeableHistogram
 from repro.obs.stream.sketch import QuantileSketch
 from repro.obs.stream.window import WindowedAggregator
 
@@ -145,8 +146,25 @@ class TestExactMerge:
         assert _state(merged) == _state(direct)
 
 
+class TestMergeableStat:
+    def test_streams_min_mean_max(self):
+        stat = MergeableStat()
+        for value in (3.0, 1.0, 2.0):
+            stat.add(value)
+        assert stat.minimum == 1.0
+        assert stat.maximum == 3.0
+        assert stat.mean == pytest.approx(2.0)
+
+    def test_empty_mean_rejected(self):
+        with pytest.raises(ConfigurationError):
+            MergeableStat().mean
+
+
 class TestHistogramMerge:
-    BOUNDS = exponential_bounds(1.0e-6, 10.0, 13)
+    BOUNDS = (
+        1.0e-6, 1.0e-5, 1.0e-4, 1.0e-3, 0.01, 0.1,
+        1.0, 10.0, 100.0, 1.0e3, 1.0e4, 1.0e5, 1.0e6,
+    )
 
     @settings(max_examples=60, deadline=None)
     @given(parts=PARTITIONS)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.obs.profiling import stopwatch, wall_clock_tick_source
+from repro.obs.profiling import wall_clock_tick_source
 from repro.obs.trace import Span, Tracer
 
 
@@ -64,10 +64,3 @@ class TestProfilingMode:
         with tracer.span("timed"):
             sum(range(1000))
         assert tracer.finished[0].wall_s >= 0.0
-
-    def test_stopwatch_is_monotonic(self):
-        with stopwatch() as elapsed_s:
-            first = elapsed_s()
-            sum(range(1000))
-            second = elapsed_s()
-        assert 0.0 <= first <= second <= elapsed_s()

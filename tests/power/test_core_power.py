@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.power.core_power import chip_power_w, core_power_w, power_breakdown
+from repro.power.core_power import chip_power_w, core_power_w
 from repro.workloads.base import IDLE
 from repro.workloads.ubench import DAXPY_SMT4
 
@@ -48,25 +48,3 @@ class TestChipPower:
     def test_wrong_gate_length_rejected(self, chip0):
         with pytest.raises(ConfigurationError):
             chip_power_w(chip0, [4200.0] * 8, [1.0] * 8, gated=[False] * 7)
-
-
-class TestBreakdown:
-    def test_total_matches_chip_power(self, chip0):
-        freqs = [4400.0] * 8
-        activities = [0.8] * 8
-        breakdown = power_breakdown(chip0, freqs, activities)
-        assert breakdown.total_w == pytest.approx(
-            chip_power_w(chip0, freqs, activities)
-        )
-
-    def test_per_core_entries(self, chip0):
-        breakdown = power_breakdown(chip0, [4400.0] * 8, [0.8] * 8)
-        assert len(breakdown.per_core_w) == 8
-        assert all(p > 0.0 for p in breakdown.per_core_w)
-
-    def test_gating_zeroes_entry(self, chip0):
-        gated = [False] * 8
-        gated[3] = True
-        breakdown = power_breakdown(chip0, [4400.0] * 8, [0.8] * 8, gated=gated)
-        assert breakdown.per_core_w[3] == 0.0
-        assert breakdown.per_core_w[0] > 0.0

@@ -20,7 +20,6 @@ from repro.silicon.chipspec import (
     draw_chip,
     power7plus_testbed,
     sample_chip,
-    sample_server,
 )
 from repro.silicon.paths import PathTimingModel
 from repro.units import CORES_PER_CHIP, NOMINAL_VDD
@@ -279,12 +278,3 @@ class TestSampledChips:
             match=r"^F10322 core 4: sampled chip is non-physical$",
         ):
             draw_chip(2019 + 10322, chip_id="F10322")
-
-    def test_sample_server_shape(self):
-        server = sample_server(5, n_chips=3, n_cores=4)
-        assert len(server.chips) == 3
-        assert all(chip.n_cores == 4 for chip in server.chips)
-
-    def test_sample_server_rejects_zero_chips(self):
-        with pytest.raises(ConfigurationError):
-            sample_server(5, n_chips=0)

@@ -63,8 +63,18 @@ class TestCommands:
         assert "speed differential" in out
         assert (tmp_path / "deploy.P0.json").exists()
 
-    def test_deploy_missing_limits_fails_cleanly(self, tmp_path, capsys):
-        code = main(["deploy", "--limits", str(tmp_path / "missing.json")])
+    @pytest.mark.parametrize(
+        "content",
+        [None, b"[]", b"\xff\xfe", "directory"],
+        ids=["missing", "json-list", "not-utf8", "directory"],
+    )
+    def test_deploy_missing_limits_fails_cleanly(self, tmp_path, capsys, content):
+        limits = tmp_path / "limits.json"
+        if content == "directory":
+            limits.mkdir()
+        elif content is not None:
+            limits.write_bytes(content)
+        code = main(["deploy", "--limits", str(limits)])
         assert code == 1
         assert "error" in capsys.readouterr().err
 

@@ -18,8 +18,43 @@ fi
 echo "== repro.lint (RL001-RL008, RL013) =="
 python -m repro.lint src tests || failures=$((failures + 1))
 
-echo "== repro.lint --project (RL009-RL012) =="
+echo "== repro.lint --project (RL009-RL011; RL012: no src API that only tests reach) =="
 python -m repro.lint --project src || failures=$((failures + 1))
+
+echo "== RL012 marks are declared test oracles =="
+# An RL012 suppression makes a symbol a reachability root, so the mark is
+# reserved for test oracles and must name what it serves:
+# `# repro-lint: disable=RL012 -- oracle: <test>` on the def line.
+if python - <<'PYEOF'
+import re
+import tokenize
+from pathlib import Path
+
+from repro.lint.engine import parse_suppressions
+
+reason = re.compile(r"--\s*oracle:\s*\S")
+marks, unexplained = 0, []
+for path in sorted(Path("src").rglob("*.py")):
+    with path.open("rb") as handle:
+        for token in tokenize.tokenize(handle.readline):
+            if token.type != tokenize.COMMENT:
+                continue
+            if "RL012" not in parse_suppressions(token.string).get(1, ()):
+                continue
+            marks += 1
+            if not reason.search(token.string):
+                unexplained.append(f"{path}:{token.start[0]}")
+if unexplained:
+    print("RL012 marks without an `-- oracle: <test>` reason:")
+    print("\n".join(f"  {where}" for where in unexplained))
+    raise SystemExit(1)
+print(f"RL012 oracle marks ok: {marks}")
+PYEOF
+then
+    :
+else
+    failures=$((failures + 1))
+fi
 
 if command -v mypy >/dev/null 2>&1; then
     # Advisory only: surfaces new type errors without gating the build
