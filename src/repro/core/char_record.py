@@ -5,16 +5,16 @@ of the ~2.7 ms a chip costs end to end at ``trials=4``, single-threaded on
 a 2-vCPU x86-64 VM): hundreds of probe runs walk each core's limits, each
 trial seeding its own RNG stream and drawing noise for every probe.  The
 probe *outcomes*, however, are a pure function of the chip's
-probe-visible physics (preset codes, step widths,
-protection headroom, stress curves), the characterizer's RNG seed and
-parameters, and the workload suite — exactly the inputs
-:func:`char_key` hashes.  So a finished characterization can be stored
+probe-visible physics (preset codes, step widths, protection headroom,
+stress curves), the characterizer's RNG seed and parameters, and the
+workload suite — exactly the inputs :func:`char_key` packs and hashes.
+So a finished characterization can be stored
 once and *replayed*: the record carries the per-core limit outcomes plus
 a compact log of every telemetry-visible operation, and replay
 reproduces the live run's event stream and counters byte for byte
 without running a single probe.
 
-Record layout (``"char-v1"`` content address, ``KIND_CHAR`` records)::
+Record layout (``"char-v2"`` content address, ``KIND_CHAR`` records)::
 
     <u32 layout> <u32 header_len> <header JSON, padded to 8 bytes> <ops>
 
@@ -38,6 +38,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+from itertools import chain
 
 import numpy as np
 
@@ -274,6 +275,10 @@ def replay_characterization(
     return idle, ubench, int(record["probes"])
 
 
+#: Version tag leading every characterization key's hashed bytes.
+_KEY_VERSION = b"char-v2"
+
+
 def char_key(
     draw,
     *,
@@ -292,22 +297,35 @@ def char_key(
     protection headroom, and stress curve.  The key *is* those inputs,
     so a stored record can never be stale: any change to the physics or
     the procedure produces a different address.
+
+    The inputs are packed, not printed: the counts, preset codes, the
+    byte length of each string and the length of each core's tables lead
+    as little-endian int64, every float follows as its little-endian
+    float64 bytes, and the strings close as UTF-8 (the seed as decimal,
+    so any size packs).
     """
-    parts = [
-        "char-v1",
-        str(seed),
-        str(trials),
-        str(repeats_per_step),
-        float(noise_sigma_ps).hex(),
+    workloads = tuple(workloads)
+    text = [
+        str(seed).encode(),
+        *(workload.name.encode() for workload in workloads),
+        *(label.encode() for label in draw.labels),
     ]
-    for workload in workloads:
-        parts.append(f"w:{workload.name}")
-        parts.append(float(workload.stress).hex())
-    for i, label in enumerate(draw.labels):
-        parts.append(f"core:{label}:{draw.preset_codes[i]}")
-        parts.append(float(draw.headroom_ps[i]).hex())
-        parts.extend(float(w).hex() for w in draw.step_widths_ps[i])
-        for stress, ps in draw.stress_curves[i]:
-            parts.append(float(stress).hex())
-            parts.append(float(ps).hex())
-    return hashlib.sha256("\n".join(parts).encode()).digest()
+    ints = (
+        trials,
+        repeats_per_step,
+        len(workloads),
+        len(draw.labels),
+        *map(len, text),
+        *draw.preset_codes,
+        *map(len, draw.step_widths_ps),
+        *map(len, draw.stress_curves),
+    )
+    floats = (
+        noise_sigma_ps,
+        *(workload.stress for workload in workloads),
+        *draw.headroom_ps,
+        *chain.from_iterable(draw.step_widths_ps),
+        *chain.from_iterable(chain.from_iterable(draw.stress_curves)),
+    )
+    packed = struct.pack(f"<{len(ints)}q{len(floats)}d", *ints, *floats)
+    return hashlib.sha256(_KEY_VERSION + packed + b"".join(text)).digest()

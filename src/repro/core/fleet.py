@@ -335,6 +335,15 @@ def _characterize_chip(
     return chip, idle, ubench, probes
 
 
+def _chunks(n_chips: int, chunk_size: int) -> list[range]:
+    """Consecutive index ranges of at most ``chunk_size`` chips covering
+    ``range(n_chips)``."""
+    return [
+        range(start, min(start + chunk_size, n_chips))
+        for start in range(0, n_chips, chunk_size)
+    ]
+
+
 def _validate_draw_rows(draw: ChipDraw, rows) -> None:
     """Replicate :meth:`ChipSim.validate_assignments` against a raw draw.
 
@@ -419,10 +428,14 @@ def collect_chip_stats(
     :mod:`repro.obs.analyze.fleet_health`'s outlier fences.
     """
     _validate_fleet_args(n_chips, 1, trials, n_cores, MarginMode.ATM, 0)
+    # One chunk of draws alive at a time keeps memory O(chunk size).
+    chip_draws = (
+        (index, draw)
+        for chunk in _chunks(n_chips, DEFAULT_CHUNK_SIZE)
+        for index, draw in zip(chunk, draw_chips(seed, chunk, n_cores=n_cores))
+    )
     stats = []
-    for index, draw in zip(
-        range(n_chips), draw_chips(seed, range(n_chips), n_cores=n_cores)
-    ):
+    for index, draw in chip_draws:
         _chip, idle, ubench, probes = _characterize_chip(
             draw,
             chip_seed=seed + index,
@@ -760,13 +773,13 @@ def characterize_fleet(
 ) -> FleetReport:
     """Run the Fig. 6 idle → uBench methodology over a sampled fleet.
 
-    Chip ``i`` is ``sample_chip(seed + i)`` with its own characterizer
-    seeded ``seed + i``, so the result is a pure function of ``seed`` and
-    ``n_chips`` — the chunk size only bounds memory, and ``jobs`` only
-    bounds wall-clock: chunks fold through order-invariant accumulators
-    (exact sums, integer counts, mergeable streaming metrics), so the
-    report and the metric summaries are byte-identical across any
-    ``chunk_size`` and ``jobs`` combination.  ``mode`` and
+    Chip ``i`` is ``draw_chip(seed + i, chip_id=f"F{i}")`` with its own
+    characterizer seeded ``seed + i``, so the result is a pure function of
+    ``seed`` and ``n_chips`` — the chunk size only bounds memory, and
+    ``jobs`` only bounds wall-clock: chunks fold through order-invariant
+    accumulators (exact sums, integer counts, mergeable streaming
+    metrics), so the report and the metric summaries are byte-identical
+    across any ``chunk_size`` and ``jobs`` combination.  ``mode`` and
     ``reduction_steps`` configure the *baseline* row each chip is solved
     at (the fine-tuned row always applies the chip's own uBench limits).
 
@@ -800,10 +813,7 @@ def characterize_fleet(
         )
 
     accumulator = _FleetAccumulator()
-    chunks = [
-        range(start, min(start + chunk_size, n_chips))
-        for start in range(0, n_chips, chunk_size)
-    ]
+    chunks = _chunks(n_chips, chunk_size)
 
     if jobs == 1:
         for chunk in chunks:

@@ -7,16 +7,21 @@ alpha-power/V_t/temperature coefficients, and power-spec coefficients —
 into numpy arrays, so one fixed-point iteration is pure array math with no
 per-core Python calls.
 
-The compilation also derives a content-addressed ``fingerprint``: two chip
-specs with identical physics compile to the same fingerprint regardless of
-object identity or ``chip_id``, which is what lets
-:class:`repro.fastpath.cache.SolveCache` share converged states across
-equal chips (e.g. the testbed rebuilt by every experiment).
+The compilation also derives a content-addressed ``fingerprint``, the
+``"solver-v2"`` sha256 over the packed bytes of every solver input: two
+chip specs with identical physics compile to the same fingerprint
+regardless of object identity or ``chip_id``, which is what lets
+:class:`repro.fastpath.cache.SolveCache` and the persistent store share
+converged states across equal chips (e.g. the testbed rebuilt by every
+experiment).  :func:`fingerprint_from_draw` packs the same bytes straight
+from a raw :class:`~repro.silicon.chipspec.ChipDraw`.
 """
 
 from __future__ import annotations
 
 import hashlib
+import struct
+from itertools import chain
 
 import numpy as np
 
@@ -41,126 +46,103 @@ from .store import (
 )
 
 
-def _fingerprint_parts_from_values(
-    pdn_resistance_ohm: float,
-    uncore_power_w: float,
-    vrm_voltage: float,
-    slack_ps: float,
-    ambient_c: float,
-    resistance_c_per_w: float,
-    cores,
-) -> list[str]:
-    """Shared fingerprint builder over raw per-core value tuples.
+#: Version tag leading every solver fingerprint's hashed bytes.
+_FINGERPRINT_VERSION = b"solver-v2"
 
-    ``cores`` yields ``(preset_code, base_delay_ps, v_threshold, alpha,
-    temp_coefficient_per_c, leakage_w, ceff_w_per_ghz,
-    leakage_temp_coeff_per_c, step_widths_ps)`` — the single definition
-    both :func:`_fingerprint_parts` (from a materialized :class:`ChipSpec`)
-    and :func:`fingerprint_from_draw` (from raw sampled values, no chip
-    objects) reduce to, so the two addresses cannot drift.
+
+def _fingerprint(chip_terms, presets, core_columns, step_widths) -> str:
+    """The ``"solver-v2"`` content address: sha256 over packed inputs.
+
+    The one packer behind :func:`fingerprint_of`, :class:`CompiledChip`
+    and :func:`fingerprint_from_draw`, so their addresses cannot drift.
+    ``chip_terms`` are the chip and thermal scalars; ``presets`` and
+    every column of ``core_columns`` hold one value per core, and
+    ``step_widths`` holds each core's table.  The core count, the preset
+    codes and each table's length lead as little-endian int64, so equal
+    values split differently across cores hash differently; every float
+    follows as its little-endian float64 bytes, so any bit-level change
+    to a physical parameter produces a new fingerprint (and therefore a
+    cold cache), while renaming a chip or core does not.
     """
-    parts = [
-        "solver-v1",
-        float(pdn_resistance_ohm).hex(),
-        float(uncore_power_w).hex(),
-        float(vrm_voltage).hex(),
-        float(slack_ps).hex(),
-        float(ambient_c).hex(),
-        float(resistance_c_per_w).hex(),
-    ]
-    for (preset, base_delay, v_t, alpha, temp_coeff, leakage, ceff,
-         leak_temp, widths) in cores:
-        parts.append(f"core:{preset}")
-        parts.append(float(base_delay).hex())
-        parts.append(float(v_t).hex())
-        parts.append(float(alpha).hex())
-        parts.append(float(temp_coeff).hex())
-        parts.append(float(leakage).hex())
-        parts.append(float(ceff).hex())
-        parts.append(float(leak_temp).hex())
-        parts.extend(float(w).hex() for w in widths)
-    return parts
+    ints = (len(presets), *presets, *map(len, step_widths))
+    floats = (*chip_terms, *chain.from_iterable(core_columns),
+              *chain.from_iterable(step_widths))
+    packed = struct.pack(f"<{len(ints)}q{len(floats)}d", *ints, *floats)
+    return hashlib.sha256(_FINGERPRINT_VERSION + packed).hexdigest()
 
 
-def _fingerprint_parts(chip: ChipSpec, thermal: ThermalModel) -> list[str]:
-    """Canonical description of every quantity the solver depends on.
-
-    Floats are rendered with ``float.hex`` so the fingerprint is exact:
-    any bit-level change to a physical parameter produces a new
-    fingerprint (and therefore a cold cache), while renaming a chip or
-    core does not.
-    """
-    return _fingerprint_parts_from_values(
-        chip.pdn_resistance_ohm,
-        chip.uncore_power_w,
-        chip.vrm_voltage,
-        chip.slack_ps,
-        thermal.ambient_c,
-        thermal.resistance_c_per_w,
+def _chip_fingerprint(chip: ChipSpec, thermal: ThermalModel) -> str:
+    """:func:`_fingerprint` of every quantity the solver reads off ``chip``."""
+    cores = chip.cores
+    return _fingerprint(
         (
-            (
-                core.preset_code,
-                core.synth_path.base_delay_ps,
-                core.synth_path.v_threshold,
-                core.synth_path.alpha,
-                core.synth_path.temp_coefficient_per_c,
-                core.power.leakage_w,
-                core.power.ceff_w_per_ghz,
-                core.power.leakage_temp_coeff_per_c,
-                core.step_widths_ps,
-            )
-            for core in chip.cores
+            chip.pdn_resistance_ohm,
+            chip.uncore_power_w,
+            chip.vrm_voltage,
+            chip.slack_ps,
+            thermal.ambient_c,
+            thermal.resistance_c_per_w,
         ),
+        [core.preset_code for core in cores],
+        (
+            [core.synth_path.base_delay_ps for core in cores],
+            [core.synth_path.v_threshold for core in cores],
+            [core.synth_path.alpha for core in cores],
+            [core.synth_path.temp_coefficient_per_c for core in cores],
+            [core.power.leakage_w for core in cores],
+            [core.power.ceff_w_per_ghz for core in cores],
+            [core.power.leakage_temp_coeff_per_c for core in cores],
+        ),
+        [core.step_widths_ps for core in cores],
     )
 
 
 def fingerprint_of(chip: ChipSpec, thermal: ThermalModel | None = None) -> str:
-    """The chip's ``"solver-v1"`` content address, without compiling it."""
-    thermal = thermal if thermal is not None else ThermalModel()
-    return hashlib.sha256(
-        "\n".join(_fingerprint_parts(chip, thermal)).encode()
-    ).hexdigest()
+    """The chip's ``"solver-v2"`` content address, without compiling it."""
+    return _chip_fingerprint(chip, thermal if thermal is not None else ThermalModel())
+
+
+#: Coefficient defaults shared by every sampled core (sample_chip only
+#: draws base_delay / leakage / ceff; the rest ride the dataclass defaults
+#: of PathTimingModel / CorePowerSpec).
+_DRAWN_PATH = PathTimingModel(base_delay_ps=1.0)
+_DRAWN_POWER = CorePowerSpec()
 
 
 def fingerprint_from_draw(draw, thermal: ThermalModel | None = None) -> str:
     """Solver fingerprint of a :class:`~repro.silicon.chipspec.ChipDraw`.
 
-    Byte-identical to ``fingerprint_of(draw.materialize())`` (pinned in
-    ``tests/fastpath/test_store.py``) but computed from the raw sampled
-    values, so the warm fleet path can address the store without building
-    any per-chip spec objects.  Sampled chips take every non-drawn
-    parameter at its dataclass default, which is what the constants below
-    restate.
+    Equal to ``fingerprint_of(draw.materialize())`` (pinned in
+    ``tests/fastpath/test_store.py``) but packed straight from the raw
+    sampled values, so the warm fleet path can address the store without
+    building any per-chip spec objects.  Sampled chips take every
+    non-drawn parameter at its dataclass default, which is what the
+    constants below restate.
     """
     thermal = thermal if thermal is not None else ThermalModel()
-    # Coefficient defaults shared by every sampled core (sample_chip only
-    # draws base_delay / leakage / ceff; the rest ride the dataclass
-    # defaults of PathTimingModel / CorePowerSpec).
-    path = PathTimingModel(base_delay_ps=1.0)
-    power = CorePowerSpec()
-    parts = _fingerprint_parts_from_values(
-        DEFAULT_PDN_RESISTANCE_OHM,
-        DEFAULT_UNCORE_POWER_W,
-        NOMINAL_VDD,
-        DEFAULT_THRESHOLD_UNITS * DEFAULT_INVERTER_STEP_PS,
-        thermal.ambient_c,
-        thermal.resistance_c_per_w,
+    path, power = _DRAWN_PATH, _DRAWN_POWER
+    n_cores = len(draw.labels)
+    return _fingerprint(
         (
-            (
-                draw.preset_codes[i],
-                draw.synth_base_ps[i],
-                path.v_threshold,
-                path.alpha,
-                path.temp_coefficient_per_c,
-                draw.leakage_w[i],
-                draw.ceff_w_per_ghz[i],
-                power.leakage_temp_coeff_per_c,
-                draw.step_widths_ps[i],
-            )
-            for i in range(len(draw.labels))
+            DEFAULT_PDN_RESISTANCE_OHM,
+            DEFAULT_UNCORE_POWER_W,
+            NOMINAL_VDD,
+            DEFAULT_THRESHOLD_UNITS * DEFAULT_INVERTER_STEP_PS,
+            thermal.ambient_c,
+            thermal.resistance_c_per_w,
         ),
+        draw.preset_codes,
+        (
+            draw.synth_base_ps,
+            (path.v_threshold,) * n_cores,
+            (path.alpha,) * n_cores,
+            (path.temp_coefficient_per_c,) * n_cores,
+            draw.leakage_w,
+            draw.ceff_w_per_ghz,
+            (power.leakage_temp_coeff_per_c,) * n_cores,
+        ),
+        draw.step_widths_ps,
     )
-    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
 
 
 class ChipRef:
@@ -261,10 +243,7 @@ class CompiledChip:
         self.thermal_resistance = float(thermal.resistance_c_per_w)
 
         if fingerprint is None:
-            digest = hashlib.sha256(
-                "\n".join(_fingerprint_parts(chip, thermal)).encode()
-            )
-            fingerprint = digest.hexdigest()
+            fingerprint = _chip_fingerprint(chip, thermal)
         self.fingerprint = fingerprint
 
     @classmethod

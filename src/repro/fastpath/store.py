@@ -8,13 +8,16 @@ the characterization transcripts of :mod:`repro.core.fleet`, as versioned,
 checksummed records in an append-only data file with a flat index.
 
 Keys are content addresses.  A compiled record is keyed by the chip's
-``"solver-v1"`` sha256 fingerprint (a hash of every physical parameter the
-solver reads); a state record extends that with the assignment row and the
-warm-start seed; a characterization record hashes the probe-visible
-physics plus the RNG recipe.  Because the key *is* the physics, staleness
-is impossible by construction: any change to an input produces a different
-key and therefore a miss — there is no invalidation protocol to get wrong,
-and records never need a timestamp.
+``"solver-v2"`` sha256 fingerprint (a hash of the packed bytes of every
+physical parameter the solver reads); a state record extends that with
+the assignment row and the warm-start seed; a characterization record is
+keyed by ``"char-v2"``, a hash of the packed probe-visible physics plus
+the RNG recipe.  Because the key *is* the physics, staleness is
+impossible by construction: any change to an input produces a different
+key and therefore a miss — there is no invalidation protocol to get
+wrong, and records never need a timestamp.  Bumping a key version
+leaves the old records unread; ``prune(max_bytes=...)`` evicts them
+oldest-first.
 
 Layout (two files under one directory):
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import zlib
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
@@ -143,6 +143,34 @@ def _state_words_type() -> type:
     return ISeedSequence.register(_StateWords)
 
 
+def _check_seed(seed) -> None:
+    if not isinstance(seed, int) or seed < 0:
+        raise ConfigurationError(f"seed must be a non-negative int, got {seed!r}")
+
+
+def seeded_streams(
+    pairs: Sequence[tuple[int, str]],
+) -> Iterator[np.random.Generator]:
+    """A fresh ``RngStreams(seed).stream(name)`` for each ``(seed, name)`` pair.
+
+    The seeds' PCG64 state words come from one vectorized pass, so each
+    generator is bit-identical to the one :meth:`RngStreams.stream` would
+    build, without paying ``default_rng``'s per-stream seeding.  The pairs
+    are validated up front; each generator is built as the iterator
+    reaches it, so a caller that uses them one at a time holds one.
+    """
+    for seed, name in pairs:
+        _check_seed(seed)
+        if not name:
+            raise ConfigurationError("stream name must be non-empty")
+    seeds = np.array([_derive_seed(seed, name) for seed, name in pairs], dtype=np.uint32)
+    state_words = _state_words_type()
+    return (
+        np.random.Generator(np.random.PCG64(state_words(words)))
+        for words in _pcg64_state_words(seeds)
+    )
+
+
 class RngStreams:
     """A factory of independent, named :class:`numpy.random.Generator` streams.
 
@@ -154,8 +182,7 @@ class RngStreams:
     """
 
     def __init__(self, seed: int = 0):
-        if not isinstance(seed, int) or seed < 0:
-            raise ConfigurationError(f"seed must be a non-negative int, got {seed!r}")
+        _check_seed(seed)
         self._seed = seed
         self._streams: dict[str, np.random.Generator] = {}
 
@@ -180,23 +207,15 @@ class RngStreams:
         """Batched :meth:`stream`: the generator of each name, in order.
 
         A name that already has a stream keeps its generator and its
-        position.  The others are created together: their seeds' PCG64
-        state words come from one vectorized pass, so each new generator
-        is bit-identical to the one :meth:`stream` would build, without
-        paying ``default_rng``'s per-stream seeding.
+        position.  The others are created together by
+        :func:`seeded_streams`.
         """
         if not all(names):
             raise ConfigurationError("stream name must be non-empty")
         missing = [name for name in dict.fromkeys(names) if name not in self._streams]
         if missing:
-            seeds = np.array(
-                [_derive_seed(self._seed, name) for name in missing], dtype=np.uint32
-            )
-            state_words = _state_words_type()
-            for name, words in zip(missing, _pcg64_state_words(seeds)):
-                self._streams[name] = np.random.Generator(
-                    np.random.PCG64(state_words(words))
-                )
+            generators = seeded_streams([(self._seed, name) for name in missing])
+            self._streams.update(zip(missing, generators))
         return [self._streams[name] for name in names]
 
     def fresh(self, name: str) -> np.random.Generator:

@@ -15,7 +15,7 @@ Two chip factories matter:
   generalization studies and property tests.
 """
 
-from .process import ProcessVariationModel, CoreProcessProfile
+from .process import ProcessVariationModel
 from .paths import PathTimingModel, alpha_power_delay_factor
 from .aging import AgingModel, age_chip
 from .chipspec import (
@@ -29,7 +29,6 @@ from .chipspec import (
 
 __all__ = [
     "ProcessVariationModel",
-    "CoreProcessProfile",
     "AgingModel",
     "age_chip",
     "PathTimingModel",

@@ -38,12 +38,14 @@ Two factories build complete servers:
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..rng import RngStreams
+from ..rng import RngStreams, seeded_streams
 from ..units import (
     AMBIENT_TEMPERATURE_C,
     CORES_PER_CHIP,
@@ -54,7 +56,7 @@ from ..units import (
     require_positive,
 )
 from .paths import PathTimingModel, alpha_power_delay_factor
-from .process import CoreProcessProfile, ProcessVariationModel
+from .process import ProcessVariationModel, core_covariance_factor
 
 # ---------------------------------------------------------------------------
 # Electrical defaults shared by both factories
@@ -618,40 +620,22 @@ def power7plus_testbed(seed: int = 2019) -> ServerSpec:
 # ---------------------------------------------------------------------------
 
 
-def _stress_curve_from_profile(
-    profile: CoreProcessProfile, rng: np.random.Generator
-) -> tuple[tuple[float, float], ...]:
-    """Sample a monotone stress-requirement curve for a random core.
-
-    Requirements grow with the core's CPM mismatch: cores whose synthetic
-    paths track their real paths poorly need disproportionately more
-    protection under stressful workloads.
-    """
-    base = profile.cpm_mismatch_ps
-    ubench = max(0.3, rng.normal(0.25 * base + 1.0, 0.8))
-    normal = ubench + max(0.2, rng.normal(0.35 * base + 1.0, 0.9))
-    worst = normal + max(0.3, rng.normal(0.55 * base + 1.5, 1.2))
-    return (
-        (0.0, 0.0),
-        (STRESS_UBENCH, float(ubench)),
-        (STRESS_THREAD_NORMAL, float(normal)),
-        (STRESS_THREAD_WORST, float(worst)),
-    )
-
-
 @dataclass(frozen=True)
 class ChipDraw:
     """Raw sampled values of one manufactured chip, before any spec objects.
 
-    :func:`draw_chip` produces one of these by running exactly the RNG
-    draws and calibration arithmetic of :func:`sample_chip`, but collecting
-    the per-core results into flat tuples instead of constructing
-    :class:`CoreSpec` / :class:`ChipSpec` objects.  The fleet warm path
+    :func:`draw_chips` produces these a chunk at a time (:func:`draw_chip`
+    is its one-chip call), running the RNG draws and factory-calibration
+    arithmetic of :func:`sample_chip` but collecting the per-core results
+    into flat tuples instead of constructing :class:`CoreSpec` /
+    :class:`ChipSpec` objects.  The fleet warm path
     (:mod:`repro.core.fleet`) addresses the persistent solve store straight
     from these values — :func:`repro.fastpath.compiled.fingerprint_from_draw`
-    and the characterization-record key — so a store-served chip never pays
-    for spec-object materialization; :meth:`materialize` rebuilds the exact
-    :class:`ChipSpec` (bit-identical fields, same validation) on demand.
+    and :func:`repro.core.char_record.char_key` pack them into the
+    ``"solver-v2"`` and ``"char-v2"`` keys — so a store-served chip never
+    pays for spec-object materialization; :meth:`materialize` rebuilds the
+    exact :class:`ChipSpec` (bit-identical fields, same validation) on
+    demand.
     """
 
     chip_id: str
@@ -693,6 +677,143 @@ class ChipDraw:
         return ChipSpec(chip_id=self.chip_id, cores=cores)
 
 
+def _draw(
+    chips: Sequence[tuple[int, str]],
+    n_cores: int,
+    variation: ProcessVariationModel | None,
+) -> tuple[ChipDraw, ...]:
+    """Draw chip ``chip_id`` from the ``sample.<chip_id>`` stream of its
+    ``seed``, for every ``(seed, chip_id)`` in ``chips``.
+
+    A chip takes its die, within-die and step-width/mismatch Gaussians
+    (``1 + n_cores * (max_delay_code + 2)`` of them) in one block, then
+    each core's three stress-curve Gaussians and two power-term uniforms.
+    Step widths are exponentiated with ``math.exp``, the libm ``exp``
+    that ``Generator.lognormal`` applies (``np.exp`` can differ in the
+    last bit).
+    """
+    if not chips:
+        return ()
+    # Seeds are checked before the core count, as each chip's RngStreams
+    # was built before its cores were sampled.
+    generators = seeded_streams(
+        [(seed, f"sample.{chip_id}") for seed, chip_id in chips]
+    )
+    if n_cores < 1:
+        raise ConfigurationError(f"n_cores must be >= 1, got {n_cores}")
+    model = variation if variation is not None else ProcessVariationModel()
+    n_steps = model.max_delay_code
+    factor = core_covariance_factor(n_cores, model.correlation_length)
+    log_median = float(np.log(model.step_width_median_ps))
+    # A core's preset inserted delay fills the gap between its path delay
+    # and this uniform-performance target.
+    target_ps = (
+        mhz_to_cycle_ps(DEFAULT_ATM_IDLE_MHZ) / _idle_operating_factor()
+        - DEFAULT_THRESHOLD_UNITS * DEFAULT_INVERTER_STEP_PS
+    )
+    # Nominal synthetic-path delay of a median core, sized so a median
+    # preset (~12 codes at the median step width) hits the default target.
+    nominal_synth = target_ps - 12 * model.step_width_median_ps
+
+    draws = []
+    for (_seed, chip_id), rng in zip(chips, generators):
+        normals = rng.standard_normal(1 + n_cores * (n_steps + 2))
+        speeds = np.exp(
+            model.die_sigma * normals[0]
+            + model.core_sigma * (factor @ normals[1 : n_cores + 1])
+        )
+        for speed in speeds.tolist():
+            require_positive(speed, "speed_factor")
+        per_core = normals[n_cores + 1 :].reshape(n_cores, n_steps + 1)
+        widths = list(
+            map(
+                math.exp,
+                (log_median + model.step_width_sigma * per_core[:, :n_steps])
+                .ravel()
+                .tolist(),
+            )
+        )
+        cumulative = np.add.accumulate(
+            np.fromiter(widths, float, len(widths)).reshape(n_cores, n_steps), axis=1
+        )
+        fills = (target_ps - nominal_synth * speeds).tolist()
+        mismatches = (
+            model.mismatch_mean_ps + model.mismatch_sigma_ps * per_core[:, n_steps]
+        ).tolist()
+
+        chip_number = int(chip_id[1:]) if chip_id[1:].isdigit() else 0
+        synth_bases = []
+        presets = []
+        core_widths = []
+        headrooms = []
+        curves = []
+        leakages = []
+        ceffs = []
+        for core in range(n_cores):
+            core_widths.append(tuple(widths[core * n_steps : (core + 1) * n_steps]))
+            # Factory preset: the smallest code whose inserted delay fills
+            # the gap, while reserving the core's mismatch as protection.
+            found = int(cumulative[core].searchsorted(fills[core]))
+            preset = max(2, min(found + 1, n_steps))
+            # The builtin sum, as calibration has always added the preset's
+            # widths (Python 3.12+ compensates its rounding; the running
+            # sum in ``cumulative`` does not).
+            insert_at_preset = sum(core_widths[-1][:preset])
+            # Re-anchor the path delay so the default config sits exactly at
+            # the uniform target despite preset quantization (vendors trim
+            # this with the CPM's fine calibration bits).
+            synth_base = target_ps - insert_at_preset
+            if synth_base <= 0.0:
+                # Not the core label: it always reads P<n>, and it seeds
+                # RNG streams.
+                raise ConfigurationError(
+                    f"{chip_id} core {core}: sampled chip is non-physical"
+                )
+            mismatch = max(0.0, mismatches[core])
+            # Reclaimable protection is bounded both by the CPM mismatch the
+            # preset must keep covering and by how much true guardband the
+            # factory actually inserted: even the fastest testbed core
+            # exposes only ~25 ps (P0C3, 4.6 -> 5.2 GHz), so cap sampled
+            # chips in the same physical regime.
+            headroom = min(max(insert_at_preset - mismatch, 0.5), 26.0)
+            # Requirements grow with the mismatch: cores whose synthetic
+            # paths track their real paths poorly need disproportionately
+            # more protection under stressful workloads.
+            stress = rng.standard_normal(3).tolist()
+            ubench = max(0.3, 0.25 * mismatch + 1.0 + 0.8 * stress[0])
+            normal = ubench + max(0.2, 0.35 * mismatch + 1.0 + 0.9 * stress[1])
+            worst = normal + max(0.3, 0.55 * mismatch + 1.5 + 1.2 * stress[2])
+            power = rng.random(2).tolist()
+            synth_bases.append(synth_base)
+            presets.append(preset)
+            headrooms.append(headroom)
+            curves.append(
+                (
+                    (0.0, 0.0),
+                    (STRESS_UBENCH, ubench),
+                    (STRESS_THREAD_NORMAL, normal),
+                    (STRESS_THREAD_WORST, worst),
+                )
+            )
+            # Generator.uniform(low, high) is low + (high - low) * random().
+            leakages.append(1.2 * (0.85 + (1.15 - 0.85) * power[0]))
+            ceffs.append(2.6 * (0.93 + (1.07 - 0.93) * power[1]))
+        draws.append(
+            ChipDraw(
+                chip_id=chip_id,
+                labels=tuple(core_label(chip_number, core) for core in range(n_cores)),
+                synth_base_ps=tuple(synth_bases),
+                preset_codes=tuple(presets),
+                step_widths_ps=tuple(core_widths),
+                headroom_ps=tuple(headrooms),
+                stress_curves=tuple(curves),
+                leakage_w=tuple(leakages),
+                ceff_w_per_ghz=tuple(ceffs),
+            )
+        )
+    return tuple(draws)
+
+
 def draw_chip(
     seed: int,
     chip_id: str = "P0",
@@ -702,87 +823,11 @@ def draw_chip(
 ) -> ChipDraw:
     """Sample one chip's raw manufacturing draw (see :class:`ChipDraw`).
 
-    This is :func:`sample_chip` minus the spec-object construction: the
-    RNG stream, the order of every draw, and all calibration arithmetic
-    are identical, so ``draw_chip(s).materialize()`` equals
-    ``sample_chip(s)`` field for field.
+    The one-chip call of :func:`draw_chips`' implementation: chip
+    ``chip_id`` drawn from the ``sample.<chip_id>`` stream of ``seed``.
+    ``draw_chip(s).materialize()`` is ``sample_chip(s)``.
     """
-    model = variation if variation is not None else ProcessVariationModel()
-    streams = RngStreams(seed)
-    rng = streams.stream(f"sample.{chip_id}")
-    profiles = model.sample_core_profiles(rng, n_cores)
-
-    operating_factor = _idle_operating_factor()
-    base_total_ps = mhz_to_cycle_ps(DEFAULT_ATM_IDLE_MHZ) / operating_factor
-    slack_ps = DEFAULT_THRESHOLD_UNITS * DEFAULT_INVERTER_STEP_PS
-
-    # Nominal synthetic-path delay of a median core, sized so a median
-    # preset (~12 codes at the median step width) hits the default target.
-    median_insert = 12 * model.step_width_median_ps
-    nominal_synth = base_total_ps - slack_ps - median_insert
-
-    labels = []
-    synth_bases = []
-    presets = []
-    widths_per_core = []
-    headrooms = []
-    curves = []
-    leakages = []
-    ceffs = []
-    for core_index, profile in enumerate(profiles):
-        label = core_label(int(chip_id[1:]) if chip_id[1:].isdigit() else 0, core_index)
-        synth_base = nominal_synth * profile.speed_factor
-        # Factory preset: smallest code whose inserted delay fills the gap
-        # between this core's path delay and the uniform-performance target,
-        # while reserving the core's mismatch as mandatory protection.
-        required_fill = base_total_ps - slack_ps - synth_base
-        widths = profile.cpm_step_widths_ps
-        cumulative = 0.0
-        preset = len(widths)
-        for code, width in enumerate(widths, start=1):
-            cumulative += width
-            if cumulative >= required_fill:
-                preset = code
-                break
-        preset = max(2, preset)
-        insert_at_preset = float(sum(widths[:preset]))
-        # Re-anchor the path delay so the default config sits exactly at the
-        # uniform target despite preset quantization (vendors trim this with
-        # the CPM's fine calibration bits).
-        synth_base = base_total_ps - slack_ps - insert_at_preset
-        if synth_base <= 0.0:
-            # Not ``label``: it always reads P<n>, and it seeds RNG streams.
-            raise ConfigurationError(
-                f"{chip_id} core {core_index}: sampled chip is non-physical"
-            )
-        # Reclaimable protection is bounded both by the CPM mismatch the
-        # preset must keep covering and by how much true guardband the
-        # factory actually inserted: even the fastest testbed core exposes
-        # only ~25 ps (P0C3, 4.6 -> 5.2 GHz), so cap sampled chips in the
-        # same physical regime.
-        headroom = float(
-            np.clip(insert_at_preset - profile.cpm_mismatch_ps, 0.5, 26.0)
-        )
-        stress_curve = _stress_curve_from_profile(profile, rng)
-        labels.append(label)
-        synth_bases.append(synth_base)
-        presets.append(preset)
-        widths_per_core.append(tuple(widths))
-        headrooms.append(headroom)
-        curves.append(stress_curve)
-        leakages.append(float(1.2 * rng.uniform(0.85, 1.15)))
-        ceffs.append(float(2.6 * rng.uniform(0.93, 1.07)))
-    return ChipDraw(
-        chip_id=chip_id,
-        labels=tuple(labels),
-        synth_base_ps=tuple(synth_bases),
-        preset_codes=tuple(presets),
-        step_widths_ps=tuple(widths_per_core),
-        headroom_ps=tuple(headrooms),
-        stress_curves=tuple(curves),
-        leakage_w=tuple(leakages),
-        ceff_w_per_ghz=tuple(ceffs),
-    )
+    return _draw(((seed, chip_id),), n_cores, variation)[0]
 
 
 def draw_chips(
@@ -792,16 +837,16 @@ def draw_chips(
     n_cores: int = CORES_PER_CHIP,
     variation: ProcessVariationModel | None = None,
 ) -> tuple[ChipDraw, ...]:
-    """Batch-draw fleet chips ``F{i}`` for every ``i`` in ``indices``.
+    """Draw fleet chips ``F{i}`` for every ``i`` in ``indices``, in one pass.
 
-    Chip ``i`` is ``draw_chip(seed + i, chip_id=f"F{i}")`` — the fleet
-    chunk recipe — drawn without materializing any per-chip spec objects;
-    the warm store path consumes the draws directly.
+    Chip ``i`` equals ``draw_chip(seed + i, chip_id=f"F{i}")`` field for
+    field.  The chunk's generators are seeded together
+    (:func:`repro.rng.seeded_streams`), the core covariance is factored
+    once, and no per-chip spec objects are built: the warm store path
+    consumes the draws directly.  A non-physical chip raises
+    ``ConfigurationError`` naming the first such chip in ``indices``.
     """
-    return tuple(
-        draw_chip(seed + i, chip_id=f"F{i}", n_cores=n_cores, variation=variation)
-        for i in indices
-    )
+    return _draw([(seed + i, f"F{i}") for i in indices], n_cores, variation)
 
 
 def sample_chip(

@@ -2,9 +2,9 @@
 
 The paper's whole opportunity comes from the fact that manufacturing makes
 some cores inherently faster than others (Sec. IV-B) and makes the CPM
-inserted-delay graduation non-linear (Sec. IV-C).  This module samples both
-effects with a seeded, spatially-correlated model in the spirit of VARIUS
-[Sarangi et al. 2008]:
+inserted-delay graduation non-linear (Sec. IV-C).  This module holds the
+statistics of both effects, a seeded, spatially-correlated model in the
+spirit of VARIUS [Sarangi et al. 2008]:
 
 * a **die-to-die** speed component shared by all cores of a chip,
 * a **within-die** component correlated between physically adjacent cores
@@ -13,10 +13,14 @@ effects with a seeded, spatially-correlated model in the spirit of VARIUS
   inserted-delay configuration step, drawn log-normally so some steps are
   nearly free while neighbours are worth hundreds of MHz — exactly the
   non-linearity Fig. 5 shows.
+
+:func:`repro.silicon.chipspec.draw_chips` samples the model, a whole
+fleet chunk per call.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,72 +30,8 @@ from ..units import CPM_DELAY_CODE_MAX, require_positive
 
 
 @dataclass(frozen=True)
-class CoreProcessProfile:
-    """The manufacturing outcome of one core.
-
-    Attributes
-    ----------
-    speed_factor:
-        Multiplier on the core's nominal critical-path delay.  Values below
-        1.0 denote a fast core (shorter paths, more reclaimable margin).
-    cpm_step_widths_ps:
-        Width in picoseconds of each CPM inserted-delay step, indexed by
-        delay code: ``cpm_step_widths_ps[i]`` is the delay removed when the
-        code is lowered from ``i + 1`` to ``i``.  Non-uniform widths encode
-        the graduation non-linearity.
-    cpm_mismatch_ps:
-        How much the core's worst *real* timing path exceeds what the CPM's
-        synthetic path mimics, at nominal conditions.  This is the base
-        protection the factory preset must provide; cores with large
-        mismatch have little safely-reclaimable margin.
-    """
-
-    speed_factor: float
-    cpm_step_widths_ps: tuple[float, ...]
-    cpm_mismatch_ps: float
-
-    def __post_init__(self) -> None:
-        require_positive(self.speed_factor, "speed_factor")
-        if self.cpm_mismatch_ps < 0.0:
-            raise ConfigurationError(
-                f"cpm_mismatch_ps must be >= 0, got {self.cpm_mismatch_ps}"
-            )
-        if len(self.cpm_step_widths_ps) < 1:
-            raise ConfigurationError("cpm_step_widths_ps must not be empty")
-        for width in self.cpm_step_widths_ps:
-            if width < 0.0:
-                raise ConfigurationError(
-                    f"CPM step widths must be >= 0, got {width}"
-                )
-
-    def inserted_delay_ps(self, code: int) -> float:
-        """Total inserted delay (ps) contributed by delay code ``code``.
-
-        Code 0 contributes no delay; code ``k`` contributes the sum of the
-        first ``k`` step widths.
-        """
-        if not (0 <= code <= len(self.cpm_step_widths_ps)):
-            raise ConfigurationError(
-                f"delay code must be in [0, {len(self.cpm_step_widths_ps)}], got {code}"
-            )
-        return float(sum(self.cpm_step_widths_ps[:code]))
-
-    def reduction_ps(self, preset_code: int, steps: int) -> float:
-        """Delay removed by reducing ``preset_code`` by ``steps`` steps."""
-        if steps < 0:
-            raise ConfigurationError(f"steps must be >= 0, got {steps}")
-        if steps > preset_code:
-            raise ConfigurationError(
-                f"cannot reduce code {preset_code} by {steps} steps"
-            )
-        return self.inserted_delay_ps(preset_code) - self.inserted_delay_ps(
-            preset_code - steps
-        )
-
-
-@dataclass(frozen=True)
 class ProcessVariationModel:
-    """Sampler for chip-level process variation outcomes.
+    """Statistics of chip-level process variation outcomes.
 
     Parameters mirror the statistical knobs of the model; defaults are tuned
     so that randomly sampled chips exhibit the same qualitative spread the
@@ -134,59 +74,31 @@ class ProcessVariationModel:
     def __post_init__(self) -> None:
         require_positive(self.step_width_median_ps, "step_width_median_ps")
         require_positive(self.correlation_length, "correlation_length")
-        if self.die_sigma < 0 or self.core_sigma < 0 or self.step_width_sigma < 0:
+        sigmas = (
+            self.die_sigma,
+            self.core_sigma,
+            self.step_width_sigma,
+            self.mismatch_sigma_ps,
+        )
+        if any(sigma < 0 for sigma in sigmas):
             raise ConfigurationError("sigmas must be non-negative")
         if self.max_delay_code < 1:
             raise ConfigurationError("max_delay_code must be >= 1")
 
-    def _correlated_normals(
-        self, rng: np.random.Generator, n_cores: int
-    ) -> np.ndarray:
-        """Draw ``n_cores`` standard normals with spatial correlation.
 
-        Cores are modeled on a 1-D layout; the covariance between cores at
-        distance ``d`` is ``exp(-d / correlation_length)``.
-        """
-        positions = np.arange(n_cores, dtype=float)
-        distance = np.abs(positions[:, None] - positions[None, :])
-        covariance = np.exp(-distance / self.correlation_length)
-        # Cholesky with a small jitter for numerical robustness.
-        chol = np.linalg.cholesky(covariance + 1e-10 * np.eye(n_cores))
-        return chol @ rng.standard_normal(n_cores)
+@functools.lru_cache(maxsize=64)
+def core_covariance_factor(n_cores: int, correlation_length: float) -> np.ndarray:
+    """Lower Cholesky factor of the within-die core covariance.
 
-    def sample_core_profiles(
-        self, rng: np.random.Generator, n_cores: int
-    ) -> list[CoreProcessProfile]:
-        """Sample the manufacturing outcome of one chip's cores."""
-        if n_cores < 1:
-            raise ConfigurationError(f"n_cores must be >= 1, got {n_cores}")
-        die_component = self.die_sigma * rng.standard_normal()
-        core_components = self.core_sigma * self._correlated_normals(rng, n_cores)
-        profiles = []
-        for core_index in range(n_cores):
-            speed = float(np.exp(die_component + core_components[core_index]))
-            widths = self.sample_step_widths(rng, self.max_delay_code)
-            mismatch = float(
-                max(0.0, rng.normal(self.mismatch_mean_ps, self.mismatch_sigma_ps))
-            )
-            profiles.append(
-                CoreProcessProfile(
-                    speed_factor=speed,
-                    cpm_step_widths_ps=widths,
-                    cpm_mismatch_ps=mismatch,
-                )
-            )
-        return profiles
-
-    def sample_step_widths(
-        self, rng: np.random.Generator, n_steps: int
-    ) -> tuple[float, ...]:
-        """Sample ``n_steps`` log-normal CPM step widths in picoseconds."""
-        if n_steps < 1:
-            raise ConfigurationError(f"n_steps must be >= 1, got {n_steps}")
-        draws = rng.lognormal(
-            mean=float(np.log(self.step_width_median_ps)),
-            sigma=self.step_width_sigma,
-            size=n_steps,
-        )
-        return tuple(float(w) for w in draws)
+    Cores are modeled on a 1-D layout; the covariance between cores at
+    distance ``d`` is ``exp(-d / correlation_length)``, factored with a
+    small jitter for numerical robustness.  Every chip with the same core
+    count and correlation length shares the factor, so it is computed
+    once and returned read-only.
+    """
+    positions = np.arange(n_cores, dtype=float)
+    distance = np.abs(positions[:, None] - positions[None, :])
+    covariance = np.exp(-distance / correlation_length)
+    factor = np.linalg.cholesky(covariance + 1e-10 * np.eye(n_cores))
+    factor.flags.writeable = False
+    return factor

@@ -1,11 +1,14 @@
 """Tests for the fleet-scale characterization driver."""
 
+import hashlib
 import json
 
 import pytest
 
 from repro.atm.chip_sim import MarginMode
+from repro.core import fleet
 from repro.core.fleet import (
+    DEFAULT_CHUNK_SIZE,
     characterize_fleet,
     collect_chip_stats,
     quantile_from_counts,
@@ -144,6 +147,36 @@ class TestCollectChipStats:
     def test_invalid_fleet_rejected(self):
         with pytest.raises(ConfigurationError):
             collect_chip_stats(0)
+
+    def test_draws_one_chunk_at_a_time(self, monkeypatch):
+        spans = []
+
+        def spy(seed, indices, **kwargs):
+            spans.append(indices)
+            return draw_chips(seed, indices, **kwargs)
+
+        draw_chips = fleet.draw_chips
+        monkeypatch.setattr(fleet, "draw_chips", spy)
+        stats = collect_chip_stats(70, trials=1, n_cores=2)
+        assert spans and all(len(span) <= DEFAULT_CHUNK_SIZE for span in spans)
+        assert [i for span in spans for i in span] == list(range(70))
+        # The stats of drawing all 70 chips in one call, taken before the
+        # draws were chunked.
+        rows = [
+            [
+                chip.chip_id,
+                chip.n_cores,
+                sorted(chip.idle_limit_counts.items()),
+                sorted(chip.ubench_limit_counts.items()),
+                sorted(chip.rollback_counts.items()),
+                chip.probe_runs,
+            ]
+            for chip in stats
+        ]
+        assert sum(chip.probe_runs for chip in stats) == 2125
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
+            "49d2f02aabc6adf32cd0669d2e8345aacbbf9a202554a486cb94b0a8e4b70b4e"
+        )
 
 
 class TestRunFleetObserved:

@@ -7,11 +7,15 @@ prune compaction, stats transport, and the draw-layer content addresses
 the store keys on.
 """
 
+import math
 import struct
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.atm.chip_sim import ChipSim
+from repro.core.char_record import char_key
 from repro.errors import ConfigurationError
 from repro.fastpath.compiled import (
     CompiledChip,
@@ -36,7 +40,13 @@ from repro.fastpath.store import (
     reset_store,
     state_key,
 )
-from repro.silicon.chipspec import draw_chip, draw_chips, sample_chip
+from repro.silicon.chipspec import ChipSpec, CoreSpec, draw_chip, draw_chips, sample_chip
+from repro.silicon.paths import PathTimingModel
+from repro.silicon.process import ProcessVariationModel
+from repro.workloads.base import IDLE
+from repro.workloads.ubench import UBENCH_SUITE
+
+from ..silicon.scalar_draw import scalar_draw_chips
 
 
 @pytest.fixture(autouse=True)
@@ -50,6 +60,18 @@ def _store(tmp_path, **kwargs):
     return SolveStore(tmp_path / "store", **kwargs)
 
 
+def _drawn(draw_fn, seed, indices, **kwargs):
+    """The draws, or the message of the ``ConfigurationError`` raised."""
+    try:
+        return draw_fn(seed, indices, **kwargs)
+    except ConfigurationError as error:
+        return str(error)
+
+
+#: A model where about one chip in four is non-physical.
+_OFTEN_NONPHYSICAL = ProcessVariationModel(step_width_median_ps=12.0)
+
+
 class TestDrawLayer:
     def test_draw_materializes_the_sampled_chip(self):
         for seed in (2019, 7, 12345):
@@ -59,19 +81,119 @@ class TestDrawLayer:
         draw = draw_chip(2019, chip_id="F0")
         assert fingerprint_from_draw(draw) == fingerprint_of(draw.materialize())
 
-    def test_draw_chips_batch_matches_per_index_draws(self):
-        batch = draw_chips(2019, range(3))
-        for index, draw in zip(range(3), batch):
-            assert draw == draw_chip(2019 + index, chip_id=f"F{index}")
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31),
+        start=st.integers(min_value=0, max_value=20_000),
+        count=st.integers(min_value=1, max_value=5),
+        n_cores=st.sampled_from((1, 4, 8, 16)),
+        variation=st.sampled_from(
+            (None, ProcessVariationModel(max_delay_code=24), _OFTEN_NONPHYSICAL)
+        ),
+    )
+    def test_draw_chips_batch_matches_per_index_draws(
+        self, seed, start, count, n_cores, variation
+    ):
+        # Bit-identical to the per-chip, per-core reference draw, errors
+        # included; the one-chip call is the same code.
+        indices = range(start, start + count)
+        kwargs = dict(n_cores=n_cores, variation=variation)
+        batch = _drawn(draw_chips, seed, indices, **kwargs)
+        assert batch == _drawn(scalar_draw_chips, seed, indices, **kwargs)
+        if isinstance(batch, str):
+            return
+        for index, draw in zip(indices, batch):
+            assert draw == draw_chip(seed + index, chip_id=f"F{index}", **kwargs)
+            assert fingerprint_from_draw(draw) == fingerprint_of(draw.materialize())
+
+    def test_fleet_cold_fleet_matches_the_oracle(self):
+        # The 2560 chips the e2e fleet_cold workload draws at seed 2019.
+        assert draw_chips(2019, range(2560)) == scalar_draw_chips(2019, range(2560))
+
+    def test_chunk_names_the_first_nonphysical_chip(self):
+        # F10322 is the first non-physical fleet chip at seed 2019.
+        message = _drawn(scalar_draw_chips, 2019, range(10300, 10364))
+        assert message == "F10322 core 4: sampled chip is non-physical"
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            draw_chips(2019, range(10300, 10364))
+        # Several chips of this chunk are non-physical; the lowest-index
+        # one is named.
+        message = _drawn(scalar_draw_chips, 7, range(12), variation=_OFTEN_NONPHYSICAL)
+        assert message == "F3 core 6: sampled chip is non-physical"
+        assert _drawn(draw_chips, 7, range(12), variation=_OFTEN_NONPHYSICAL) == message
+
+    @pytest.mark.parametrize(
+        "seed, indices, kwargs",
+        [
+            # Underflowing speed factors and non-physical chips interleave.
+            (7, range(6), dict(variation=ProcessVariationModel(die_sigma=400.0))),
+            (7, range(3, 6), dict(variation=ProcessVariationModel(die_sigma=400.0))),
+            (2019, range(3), dict(variation=ProcessVariationModel(step_width_median_ps=200.0))),
+            (-2, range(5), {}),
+            (2019, range(3), dict(n_cores=0)),
+        ],
+    )
+    def test_errors_match_the_oracle(self, seed, indices, kwargs):
+        message = _drawn(scalar_draw_chips, seed, indices, **kwargs)
+        assert isinstance(message, str)
+        assert _drawn(draw_chips, seed, indices, **kwargs) == message
 
     def test_nonphysical_draw_rejected(self):
         # Extreme variation produces chips draw_chip must refuse, with
         # the same error sample_chip raises.
-        from repro.silicon.process import ProcessVariationModel
-
         wild = ProcessVariationModel(step_width_median_ps=200.0)
         with pytest.raises(ConfigurationError, match="non-physical"):
             draw_chip(2019, variation=wild)
+
+
+def _two_core_chip(widths_a, widths_b):
+    path = PathTimingModel(base_delay_ps=180.0)
+    curve = ((0.0, 0.0), (1.0, 1.0))
+    return ChipSpec(
+        chip_id="K0",
+        cores=(
+            CoreSpec("K0C0", path, 1, widths_a, 2.0, curve),
+            CoreSpec("K0C1", path, 1, widths_b, 2.0, curve),
+        ),
+    )
+
+
+def _char_key(draw):
+    return char_key(
+        draw,
+        seed=2019,
+        trials=4,
+        repeats_per_step=2,
+        noise_sigma_ps=0.1,
+        workloads=(IDLE, *UBENCH_SUITE),
+    )
+
+
+class TestStoreKeys:
+    def test_fingerprint_separates_table_splits(self):
+        # The same concatenated widths split differently across cores.
+        split_a = _two_core_chip((1.0, 2.0, 3.0), (4.0,))
+        split_b = _two_core_chip((1.0, 2.0), (3.0, 4.0))
+        assert fingerprint_of(split_a) != fingerprint_of(split_b)
+
+    def test_one_ulp_step_width_changes_both_keys(self):
+        draw = draw_chip(2019, chip_id="F0")
+        widths = [list(core) for core in draw.step_widths_ps]
+        widths[3][17] = math.nextafter(widths[3][17], math.inf)
+        bumped = replace(draw, step_widths_ps=tuple(map(tuple, widths)))
+        assert fingerprint_from_draw(bumped) != fingerprint_from_draw(draw)
+        assert fingerprint_of(bumped.materialize()) == fingerprint_from_draw(bumped)
+        assert _char_key(bumped) != _char_key(draw)
+
+    def test_one_ulp_stress_point_changes_the_char_key(self):
+        draw = draw_chip(2019, chip_id="F0")
+        curves = [list(curve) for curve in draw.stress_curves]
+        stress, ps = curves[5][2]
+        curves[5][2] = (stress, math.nextafter(ps, 0.0))
+        bumped = replace(draw, stress_curves=tuple(map(tuple, curves)))
+        assert _char_key(bumped) != _char_key(draw)
+        # The solver never reads a stress curve, so its address holds.
+        assert fingerprint_from_draw(bumped) == fingerprint_from_draw(draw)
 
 
 class TestRecordCodecs:

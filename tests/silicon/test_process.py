@@ -1,11 +1,18 @@
-"""Tests for the process-variation sampler."""
+"""Tests for the process-variation model and its reference sampler.
+
+The sampler tests run the per-core reference draw
+(:mod:`tests.silicon.scalar_draw`), which the batched
+:func:`repro.silicon.chipspec.draw_chips` must match exactly.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
-from repro.silicon.process import CoreProcessProfile, ProcessVariationModel
+from repro.silicon.process import ProcessVariationModel
+
+from .scalar_draw import CoreProcessProfile, sample_core_profiles, sample_step_widths
 
 
 def _profile(widths=(1.0, 2.0, 3.0), speed=1.0, mismatch=5.0):
@@ -15,32 +22,6 @@ def _profile(widths=(1.0, 2.0, 3.0), speed=1.0, mismatch=5.0):
 
 
 class TestCoreProcessProfile:
-    def test_inserted_delay_cumulative(self):
-        profile = _profile()
-        assert profile.inserted_delay_ps(0) == 0.0
-        assert profile.inserted_delay_ps(2) == pytest.approx(3.0)
-        assert profile.inserted_delay_ps(3) == pytest.approx(6.0)
-
-    def test_reduction_from_preset(self):
-        profile = _profile()
-        assert profile.reduction_ps(3, 1) == pytest.approx(3.0)
-        assert profile.reduction_ps(3, 3) == pytest.approx(6.0)
-
-    def test_reduction_zero_steps(self):
-        assert _profile().reduction_ps(3, 0) == 0.0
-
-    def test_reduction_beyond_preset_rejected(self):
-        with pytest.raises(ConfigurationError):
-            _profile().reduction_ps(2, 3)
-
-    def test_negative_steps_rejected(self):
-        with pytest.raises(ConfigurationError):
-            _profile().reduction_ps(3, -1)
-
-    def test_code_out_of_range_rejected(self):
-        with pytest.raises(ConfigurationError):
-            _profile().inserted_delay_ps(4)
-
     def test_negative_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
             _profile(mismatch=-1.0)
@@ -62,33 +43,33 @@ class TestProcessVariationModel:
     def test_sample_count(self):
         model = ProcessVariationModel()
         rng = np.random.default_rng(0)
-        profiles = model.sample_core_profiles(rng, 8)
+        profiles = sample_core_profiles(model, rng, 8)
         assert len(profiles) == 8
 
     def test_speed_factors_near_unity(self):
         model = ProcessVariationModel()
         rng = np.random.default_rng(1)
-        profiles = model.sample_core_profiles(rng, 8)
+        profiles = sample_core_profiles(model, rng, 8)
         for profile in profiles:
             assert 0.8 < profile.speed_factor < 1.25
 
     def test_speed_factors_vary(self):
         model = ProcessVariationModel()
         rng = np.random.default_rng(2)
-        speeds = [p.speed_factor for p in model.sample_core_profiles(rng, 8)]
+        speeds = [p.speed_factor for p in sample_core_profiles(model, rng, 8)]
         assert len(set(speeds)) == 8
 
     def test_step_widths_positive(self):
         model = ProcessVariationModel()
         rng = np.random.default_rng(3)
-        widths = model.sample_step_widths(rng, 20)
+        widths = sample_step_widths(model, rng, 20)
         assert all(w > 0.0 for w in widths)
 
     def test_step_widths_nonuniform(self):
         # The non-linearity finding: widths must spread widely.
         model = ProcessVariationModel()
         rng = np.random.default_rng(4)
-        widths = model.sample_step_widths(rng, 30)
+        widths = sample_step_widths(model, rng, 30)
         assert max(widths) / min(widths) > 3.0
 
     def test_spatial_correlation_of_neighbors(self):
@@ -98,7 +79,7 @@ class TestProcessVariationModel:
         for seed in range(200):
             rng = np.random.default_rng(seed)
             speeds = np.log(
-                [p.speed_factor for p in model.sample_core_profiles(rng, 8)]
+                [p.speed_factor for p in sample_core_profiles(model, rng, 8)]
             )
             adjacent.append((speeds[0] - speeds[1]) ** 2)
             distant.append((speeds[0] - speeds[7]) ** 2)
@@ -107,16 +88,19 @@ class TestProcessVariationModel:
     def test_zero_cores_rejected(self):
         model = ProcessVariationModel()
         with pytest.raises(ConfigurationError):
-            model.sample_core_profiles(np.random.default_rng(0), 0)
+            sample_core_profiles(model, np.random.default_rng(0), 0)
 
     def test_zero_steps_rejected(self):
         model = ProcessVariationModel()
         with pytest.raises(ConfigurationError):
-            model.sample_step_widths(np.random.default_rng(0), 0)
+            sample_step_widths(model, np.random.default_rng(0), 0)
 
-    def test_negative_sigma_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ProcessVariationModel(die_sigma=-0.1)
+    @pytest.mark.parametrize(
+        "sigma", ["die_sigma", "core_sigma", "step_width_sigma", "mismatch_sigma_ps"]
+    )
+    def test_negative_sigma_rejected(self, sigma):
+        with pytest.raises(ConfigurationError, match="sigmas must be non-negative"):
+            ProcessVariationModel(**{sigma: -0.1})
 
     def test_bad_max_code_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -127,7 +111,7 @@ class TestProcessVariationModel:
     def test_any_core_count_samples(self, n_cores):
         model = ProcessVariationModel()
         rng = np.random.default_rng(5)
-        profiles = model.sample_core_profiles(rng, n_cores)
+        profiles = sample_core_profiles(model, rng, n_cores)
         assert len(profiles) == n_cores
         for profile in profiles:
             assert profile.cpm_mismatch_ps >= 0.0

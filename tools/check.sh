@@ -294,6 +294,20 @@ echo "== e2e benchmark harness tests =="
 # name (benchmarks/e2e/spans.py), so renaming one must fail here.
 python -m pytest -q benchmarks/e2e || failures=$((failures + 1))
 
+echo "== e2e fleet report digests (full-size seed-2019 fleets) =="
+# A zero-second run still sets up and runs one full pass, and its last
+# line says whether every report digest matched
+# benchmarks/e2e/reference.json.
+for workload in fleet_warm fleet_cold; do
+    if python3 benchmarks/e2e/run.py --workload "$workload" --seconds 0 \
+            | tail -n 1 | grep -q '^{"correct": true,'; then
+        echo "$workload digests ok"
+    else
+        echo "$workload digests FAILED"
+        failures=$((failures + 1))
+    fi
+done
+
 if [ "$failures" -ne 0 ]; then
     echo "FAILED: $failures check(s) failed"
     exit 1
