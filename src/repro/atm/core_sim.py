@@ -28,6 +28,7 @@ distributions, and samples a failure manifestation when a probe fails.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,9 +100,6 @@ class SafetyProbe:
         steps, which corresponds to a fraction of a typical step width.
     failure_model:
         Sampler for how violations manifest.
-    recorder:
-        Optional :class:`repro.core.char_record.CharRecorder` that logs
-        every probe for later store-served replay (fleet cold path).
     """
 
     def __init__(
@@ -109,19 +107,13 @@ class SafetyProbe:
         rng: np.random.Generator,
         noise_sigma_ps: float = 0.25,
         failure_model: FailureModel | None = None,
-        *,
-        recorder=None,
     ):
-        if noise_sigma_ps < 0.0:
-            raise ConfigurationError(
-                f"noise_sigma_ps must be >= 0, got {noise_sigma_ps}"
-            )
+        check_noise_sigma(noise_sigma_ps)
         self._rng = rng
         self._noise_sigma_ps = noise_sigma_ps
         self._failure_model = (
             failure_model if failure_model is not None else FailureModel()
         )
-        self._recorder = recorder
         self._probe_count = 0
 
     @property
@@ -156,8 +148,8 @@ class SafetyProbe:
             mode = self._failure_model.sample_mode(self._rng, -slack)
             result = ProbeResult(safe=False, slack_ps=slack, failure_mode=mode)
         obs = get_obs()
-        if self._captures(obs):
-            self._capture(obs, core, workload, [reduction_steps], [slack])
+        if obs.events_enabled:
+            _emit_probes(obs, core, workload, [reduction_steps], [slack])
         _count_probes(obs, 1, 0 if result.safe else 1)
         return result
 
@@ -212,11 +204,11 @@ class SafetyProbe:
                 rng.normal(0.0, sigma, size=probes)
             self._failure_model.sample_mode(rng, -float(slack[first_bad]))
         self._probe_count += probes
-        if self._captures(obs):
+        if obs.events_enabled:
             steps = [
                 s for s in range(start + 1, best + 2) for _ in range(repeats_per_step)
             ]
-            self._capture(
+            _emit_probes(
                 obs, core, workload, steps[:probes], slack[:probes].tolist()
             )
         _count_probes(obs, probes, failures)
@@ -261,35 +253,36 @@ class SafetyProbe:
                 break
         self._probe_count += len(slacks)
         obs = get_obs()
-        if self._captures(obs):
-            self._capture(obs, core, workload, steps_run, slacks)
+        if obs.events_enabled:
+            _emit_probes(obs, core, workload, steps_run, slacks)
         _count_probes(obs, len(slacks), failures)
         return safe_at
 
-    def _captures(self, obs) -> bool:
-        """Whether per-probe telemetry (recorder ops or events) is kept."""
-        return self._recorder is not None or obs.events_enabled
 
-    def _capture(
-        self, obs, core: CoreSpec, workload: Workload, steps, slacks
-    ) -> None:
-        """Per-probe telemetry, in probe order: ``steps[i]`` measured
-        ``slacks[i]``; one recorder op and one ``CpmStepEvent`` each."""
-        safe = [slack >= 0.0 for slack in slacks]
-        if self._recorder is not None:
-            self._recorder.record_probes(
-                core.label, workload.name, steps, safe, slacks
-            )
-        if obs.events_enabled:
-            for reduction, ok, slack in zip(steps, safe, slacks):
-                obs.emit_new(
-                    CpmStepEvent,
-                    core_label=core.label,
-                    workload=workload.name,
-                    reduction_steps=reduction,
-                    safe=ok,
-                    slack_ps=slack,
-                )
+def check_noise_sigma(noise_sigma_ps: float) -> None:
+    """Reject a measurement-noise level that is negative, NaN or infinite.
+
+    The walks add noise only when ``sigma > 0.0``, so NaN would silently
+    run noise-free, and an infinite sigma draws +/-inf slack.
+    """
+    if not (math.isfinite(noise_sigma_ps) and noise_sigma_ps >= 0.0):
+        raise ConfigurationError(
+            f"noise_sigma_ps must be finite and >= 0, got {noise_sigma_ps}"
+        )
+
+
+def _emit_probes(obs, core: CoreSpec, workload: Workload, steps, slacks) -> None:
+    """One ``CpmStepEvent`` per probe, in probe order: ``steps[i]``
+    measured ``slacks[i]``."""
+    for reduction, slack in zip(steps, slacks):
+        obs.emit_new(
+            CpmStepEvent,
+            core_label=core.label,
+            workload=workload.name,
+            reduction_steps=reduction,
+            safe=slack >= 0.0,
+            slack_ps=slack,
+        )
 
 
 def _count_probes(obs, probes: int, failures: int) -> None:

@@ -1,18 +1,20 @@
-"""Characterization replay records for the persistent solve store.
+"""Characterization records: the fleet's one characterization path.
 
-Characterization is the largest stage of fleet onboarding (about 1.6 ms
-of the ~2.7 ms a chip costs end to end at ``trials=4``, single-threaded on
-a 2-vCPU x86-64 VM): hundreds of probe runs walk each core's limits, each
-trial seeding its own RNG stream and drawing noise for every probe.  The
-probe *outcomes*, however, are a pure function of the chip's
-probe-visible physics (preset codes, step widths, protection headroom,
-stress curves), the characterizer's RNG seed and parameters, and the
-workload suite — exactly the inputs :func:`char_key` packs and hashes.
-So a finished characterization can be stored
-once and *replayed*: the record carries the per-core limit outcomes plus
-a compact log of every telemetry-visible operation, and replay
-reproduces the live run's event stream and counters byte for byte
-without running a single probe.
+A fleet chip's idle → uBench characterization (paper Sec. III-B, Fig. 6)
+is a pure function of the chip's probe-visible physics (preset codes,
+step widths, protection headroom, stress curves), the characterizer's
+RNG seed and parameters, and the workload suite — exactly the inputs
+:func:`char_key` packs and hashes.  The fleet therefore never runs a
+:class:`~repro.core.characterize.Characterizer`: every chip is served
+from a *record* — the per-core limit outcomes plus a compact log of
+every telemetry-visible operation — and :func:`replay_characterization`
+turns a record into the live run's results, event stream and counters,
+byte for byte, without running a single probe.
+
+Records come from the persistent solve store, or, for the chips it does
+not hold, from :func:`characterize_chunk`, which walks all of a fleet
+chunk's cold chips at once and is tested against the per-core
+:class:`~repro.core.characterize.Characterizer` walks.
 
 Record layout (``"char-v2"`` content address, ``KIND_CHAR`` records)::
 
@@ -25,12 +27,6 @@ per probe or rollback, in exact temporal order — that replay walks only
 when an observability context actually captures events.  Dark runs skip
 the ops entirely; metrics-only runs (pool workers) bulk-increment the
 probe counters from the header.
-
-The op log is recorded by :class:`CharRecorder`, which
-:class:`repro.core.characterize.Characterizer` and
-:class:`repro.atm.core_sim.SafetyProbe` accept as an optional hook; the
-hook is only threaded on the fleet cold path, so single-chip and
-testbed characterization are untouched.
 """
 
 from __future__ import annotations
@@ -38,13 +34,25 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+from collections.abc import Iterator, Sequence
 from itertools import chain
 
 import numpy as np
 
 from ..analysis.stats import summarize
+from ..atm.failure import FailureModel
+from ..fastpath.store import get_store
 from ..obs.events import CpmStepEvent, RollbackEvent
-from .characterize import IdleCharacterization, UbenchCharacterization
+from ..obs.runtime import get_obs
+from ..rng import seeded_streams
+from ..silicon.chipspec import ChipSpec
+from ..workloads.base import IDLE
+from ..workloads.ubench import UBENCH_SUITE
+from .characterize import (
+    IdleCharacterization,
+    UbenchCharacterization,
+    trial_stream_name,
+)
 
 #: Version of the payload layout below (bump on any byte-level change).
 CHAR_LAYOUT = 1
@@ -215,48 +223,48 @@ def replay_characterization(
     Returns the same ``(idle, ubench, probe_count)`` triple the live
     idle → uBench stages produce, and emits exactly the telemetry a live
     run would have: per-probe ``CpmStepEvent`` and per-program
-    ``RollbackEvent`` in recorded order when events are captured, bulk
-    ``probe.total`` / ``probe.failures`` increments when only metrics
-    are on, nothing when observability is dark.
+    ``RollbackEvent`` in recorded order when events are captured, and
+    the ``probe.total`` / ``probe.failures`` counts whenever metrics are
+    on (counters are plain sums, so one increment per record leaves the
+    registry as one per probe would); nothing when observability is dark.
     """
     labels = record["labels"]
     if obs.events_enabled:
         workloads = record["workloads"]
-        metrics = obs.metrics
-        total = metrics.counter("probe.total")
-        failures = metrics.counter("probe.failures")
-        for op in record["ops"]:
-            if op["op"] == OP_PROBE:
+        ops = record["ops"]
+        # Python lists, not per-row structured access: the loop is per event.
+        for code, core, widx, a, b, slack in zip(
+            ops["op"].tolist(),
+            ops["core"].tolist(),
+            ops["widx"].tolist(),
+            ops["a"].tolist(),
+            ops["b"].tolist(),
+            ops["slack"].tolist(),
+        ):
+            if code == OP_PROBE:
                 obs.emit_new(
                     CpmStepEvent,
-                    core_label=labels[op["core"]],
-                    workload=workloads[op["widx"]],
-                    reduction_steps=int(op["a"]),
-                    safe=bool(op["b"]),
-                    slack_ps=float(op["slack"]),
+                    core_label=labels[core],
+                    workload=workloads[widx],
+                    reduction_steps=a,
+                    safe=b != 0,
+                    slack_ps=slack,
                 )
-                total.inc()
-                if not op["b"]:
-                    failures.inc()
             else:
                 obs.emit(
                     RollbackEvent(
                         seq=0,
-                        core_label=labels[op["core"]],
+                        core_label=labels[core],
                         stage="ubench",
-                        workload=workloads[op["widx"]],
-                        from_steps=int(op["a"]),
-                        to_steps=int(op["b"]),
+                        workload=workloads[widx],
+                        from_steps=a,
+                        to_steps=b,
                     )
                 )
-    elif obs.enabled:
-        # Counters are plain sums, so bulk increments leave the merged
-        # registry byte-identical to the per-probe path.
+    if obs.enabled:
         metrics = obs.metrics
-        if record["probes"]:
-            metrics.counter("probe.total").inc(record["probes"])
-        if record["failures"]:
-            metrics.counter("probe.failures").inc(record["failures"])
+        metrics.counter("probe.total").inc(record["probes"])
+        metrics.counter("probe.failures").inc(record["failures"])
 
     idle: dict[str, IdleCharacterization] = {}
     ubench: dict[str, UbenchCharacterization] = {}
@@ -273,6 +281,220 @@ def replay_characterization(
             ),
         )
     return idle, ubench, int(record["probes"])
+
+
+def characterize_chunk(
+    chips: Sequence[ChipSpec],
+    seeds: Sequence[int],
+    *,
+    trials: int,
+    repeats_per_step: int,
+    noise_sigma_ps: float,
+) -> Iterator[tuple[dict, bytes | None]]:
+    """Characterize a fleet chunk's cold chips in one pass.
+
+    Chip ``chips[i]`` is walked exactly as a
+    :class:`~repro.core.characterize.Characterizer` seeded ``seeds[i]``
+    walks it — the idle stage on every core, then the uBench stage on
+    every core, each trial on its own stream — and yields one
+    ``(record, payload)`` pair per chip, in order, as soon as the chip's
+    walks finish.  ``record`` has the :func:`decode_char` shape.  The op
+    log is kept only when the observability context installed at the
+    first ``next`` captures events or the store configured then is
+    writable: then ``payload`` is the chip's encoded record and
+    ``record`` is its decoding; otherwise ``payload``,
+    ``record["workloads"]`` and ``record["ops"]`` are ``None``.
+
+    Nothing reads an idle stream after its walk, so every idle trial of
+    the chunk runs in one array pass (:func:`_idle_trials`): one noise
+    draw per trial added to its core's slack row, the first failing
+    probe of each trial found over the concatenation, and no generator
+    rewind or failure-mode draw.  A uBench trial's three roll-back walks
+    share one stream, so they run probe by probe
+    (:func:`_ubench_trials`).  Streams are seeded in two batched passes,
+    idle then uBench, and each generator is dropped once its trial is
+    walked.
+    """
+    if not chips:
+        return
+    store = get_store()
+    keep_ops = get_obs().events_enabled or (store is not None and store.writable)
+    slack, starts, idle_probes, idle_best, failed = _idle_trials(
+        chips,
+        seeds,
+        trials=trials,
+        repeats=repeats_per_step,
+        sigma=noise_sigma_ps,
+    )
+    ubench_streams = seeded_streams(_trial_streams("ubench", chips, seeds, trials))
+    sample_mode = FailureModel().sample_mode
+    first = 0  # the chip's first idle trial
+    for chip in chips:
+        recorder = CharRecorder() if keep_ops else None
+        labels = [core.label for core in chip.cores]
+        stop = first + trials * len(labels)
+        idle = {
+            label: idle_best[at : at + trials]
+            for label, at in zip(labels, range(first, stop, trials))
+        }
+        probes = sum(idle_probes[first:stop])
+        failures = sum(failed[first:stop])
+        if recorder is not None:
+            for k in range(first, stop):
+                count = idle_probes[k]
+                slacks = slack[starts[k] : starts[k] + count].tolist()
+                recorder.record_probes(
+                    labels[(k - first) // trials],
+                    IDLE.name,
+                    [1 + j // repeats_per_step for j in range(count)],
+                    [value >= 0.0 for value in slacks],
+                    slacks,
+                )
+        first = stop
+        rollbacks = {}
+        for core in chip.cores:
+            rollbacks[core.label], core_probes, core_failures = _ubench_trials(
+                core,
+                min(idle[core.label]),
+                ubench_streams,
+                sample_mode,
+                trials=trials,
+                repeats=repeats_per_step,
+                sigma=noise_sigma_ps,
+                recorder=recorder,
+            )
+            probes += core_probes
+            failures += core_failures
+        if recorder is None:
+            record = {
+                "labels": labels,
+                "workloads": None,
+                "idle": idle,
+                "rollbacks": rollbacks,
+                "probes": probes,
+                "failures": failures,
+                "ops": None,
+            }
+            yield record, None
+        else:
+            for label in labels:
+                recorder.record_idle_outcomes(label, idle[label])
+                recorder.record_ubench_rollbacks(label, rollbacks[label])
+            payload = recorder.encode(labels=labels, probe_count=probes)
+            yield decode_char(payload), payload
+
+
+def _idle_trials(chips, seeds, *, trials, repeats, sigma):
+    """Every idle trial of the chunk as one array pass.
+
+    Trials are ordered chip by chip, core by core, trial by trial.
+    Returns the concatenated noisy slack of every probe a trial could
+    run, and per trial its start in that array, its probe count, its
+    outcome (the last reduction every repeat passed) and whether it
+    ended at a failing probe.
+    """
+    # Probe j of a trial runs at reduction 1 + j // repeats, so the
+    # trial's noise-free slacks are its core's row from reduction 1 on,
+    # each element repeated.
+    rows = [
+        np.repeat(core.slack_row(IDLE.stress)[1:], repeats)
+        for chip in chips
+        for core in chip.cores
+    ]
+    lengths = np.repeat([row.size for row in rows], trials)
+    starts = np.cumsum(lengths) - lengths
+    slack = np.concatenate([row for row in rows for _ in range(trials)])
+    if sigma > 0.0:
+        streams = seeded_streams(_trial_streams("idle", chips, seeds, trials))
+        for at, size in zip(starts.tolist(), lengths.tolist()):
+            trial = slack[at : at + size]
+            np.add(trial, next(streams).normal(0.0, sigma, size=size), out=trial)
+    bad = np.flatnonzero(~(slack >= 0.0))
+    first_bad = np.append(bad, slack.size)[bad.searchsorted(starts)] - starts
+    failed = first_bad < lengths
+    return (
+        slack,
+        starts.tolist(),
+        np.where(failed, first_bad + 1, lengths).tolist(),
+        (np.where(failed, first_bad, lengths) // repeats).tolist(),
+        failed.tolist(),
+    )
+
+
+def _trial_streams(stage: str, chips, seeds, trials: int) -> list[tuple[int, str]]:
+    """``(seed, stream name)`` of every trial of ``stage``, chip by chip,
+    core by core, trial by trial."""
+    return [
+        (seed, trial_stream_name(stage, core.label, trial))
+        for seed, chip in zip(seeds, chips)
+        for core in chip.cores
+        for trial in range(trials)
+    ]
+
+
+def _ubench_trials(
+    core,
+    idle_limit: int,
+    streams,
+    sample_mode,
+    *,
+    trials,
+    repeats,
+    sigma,
+    recorder,
+) -> tuple[list[int], int, int]:
+    """One core's uBench trials, each on the next generator of ``streams``.
+
+    The walks of :meth:`SafetyProbe.rollback_to_safe
+    <repro.atm.core_sim.SafetyProbe.rollback_to_safe>` in the order
+    :meth:`Characterizer.characterize_ubench
+    <repro.core.characterize.Characterizer.characterize_ubench>` runs them,
+    including the failure-mode draw (``sample_mode``, a
+    :meth:`FailureModel.sample_mode <repro.atm.failure.FailureModel.sample_mode>`)
+    after each failing probe, because it positions the next noise draw.
+    Returns the per-trial rollbacks, the probe count and the failure count.
+    """
+    program_rows = [core.slack_row(program.stress).tolist() for program in UBENCH_SUITE]
+    rollbacks = []
+    probes = failures = 0
+    for _ in range(trials):
+        rng = next(streams)
+        normal = rng.normal
+        worst_safe = idle_limit
+        for program, row in zip(UBENCH_SUITE, program_rows):
+            steps_run: list[int] = []
+            slacks: list[float] = []
+            safe_at = 0
+            for steps in range(worst_safe, -1, -1):
+                for _ in range(repeats):
+                    value = row[steps]
+                    if sigma > 0.0:
+                        value += normal(0.0, sigma)
+                    steps_run.append(steps)
+                    slacks.append(value)
+                    if not value >= 0.0:
+                        sample_mode(rng, -value)
+                        failures += 1
+                        break
+                else:
+                    safe_at = steps
+                    break
+            probes += len(slacks)
+            if recorder is not None:
+                recorder.record_probes(
+                    core.label,
+                    program.name,
+                    steps_run,
+                    [value >= 0.0 for value in slacks],
+                    slacks,
+                )
+                if safe_at < worst_safe:
+                    recorder.record_rollback(
+                        core.label, program.name, worst_safe, safe_at
+                    )
+            worst_safe = min(worst_safe, safe_at)
+        rollbacks.append(idle_limit - worst_safe)
+    return rollbacks, probes, failures
 
 
 #: Version tag leading every characterization key's hashed bytes.

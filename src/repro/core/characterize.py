@@ -104,6 +104,16 @@ class ChipCharacterization:
     limits: dict[str, CoreLimits]
 
 
+def trial_stream_name(stage: str, core_label: str, trial: int) -> str:
+    """Name of the RNG stream one characterization trial draws from.
+
+    ``stage`` is ``"idle"``, ``"ubench"`` or ``"app.<name>"``; each
+    (stage, core, trial) has its own stream, seeded from the
+    characterizer's root seed.
+    """
+    return f"characterize.{stage}.{core_label}.{trial}"
+
+
 class Characterizer:
     """Runs the Fig. 6 methodology against a simulated (or real) chip.
 
@@ -119,10 +129,6 @@ class Characterizer:
         Workload runs per configuration step within one trial.
     noise_sigma_ps:
         Measurement-noise level handed to every :class:`SafetyProbe`.
-    recorder:
-        Optional :class:`repro.core.char_record.CharRecorder`; when set,
-        every probe and rollback is logged so the finished
-        characterization can be stored and replayed (fleet cold path).
     """
 
     def __init__(
@@ -132,7 +138,6 @@ class Characterizer:
         trials: int = 10,
         repeats_per_step: int = 2,
         noise_sigma_ps: float = 0.1,
-        recorder=None,
     ):
         if trials < 1:
             raise ConfigurationError(f"trials must be >= 1, got {trials}")
@@ -144,18 +149,11 @@ class Characterizer:
         self._trials = trials
         self._repeats = repeats_per_step
         self._noise_sigma_ps = noise_sigma_ps
-        self._recorder = recorder
         self._issued_probes: list[SafetyProbe] = []
 
-    @staticmethod
-    def _stream_name(stage: str, core_label: str, trial: int) -> str:
-        return f"characterize.{stage}.{core_label}.{trial}"
-
     def _probe(self, stage: str, core_label: str, trial: int) -> SafetyProbe:
-        rng = self._streams.stream(self._stream_name(stage, core_label, trial))
-        probe = SafetyProbe(
-            rng, noise_sigma_ps=self._noise_sigma_ps, recorder=self._recorder
-        )
+        rng = self._streams.stream(trial_stream_name(stage, core_label, trial))
+        probe = SafetyProbe(rng, noise_sigma_ps=self._noise_sigma_ps)
         self._issued_probes.append(probe)
         return probe
 
@@ -173,7 +171,7 @@ class Characterizer:
         """
         self._streams.streams(
             [
-                self._stream_name(stage, core.label, trial)
+                trial_stream_name(stage, core.label, trial)
                 for core in cores
                 for stage in stages
                 for trial in range(self._trials)
@@ -202,8 +200,6 @@ class Characterizer:
                     core, IDLE, start=0, repeats_per_step=self._repeats
                 )
             )
-        if self._recorder is not None:
-            self._recorder.record_idle_outcomes(core.label, outcomes)
         return IdleCharacterization(
             core_label=core.label, distribution=summarize(outcomes)
         )
@@ -232,26 +228,19 @@ class Characterizer:
                 safe = probe.rollback_to_safe(
                     core, program, start=worst_safe, repeats_per_step=self._repeats
                 )
-                if safe < worst_safe:
-                    if self._recorder is not None:
-                        self._recorder.record_rollback(
-                            core.label, program.name, worst_safe, safe
+                if safe < worst_safe and obs.events_enabled:
+                    obs.emit(
+                        RollbackEvent(
+                            seq=0,
+                            core_label=core.label,
+                            stage="ubench",
+                            workload=program.name,
+                            from_steps=worst_safe,
+                            to_steps=safe,
                         )
-                    if obs.events_enabled:
-                        obs.emit(
-                            RollbackEvent(
-                                seq=0,
-                                core_label=core.label,
-                                stage="ubench",
-                                workload=program.name,
-                                from_steps=worst_safe,
-                                to_steps=safe,
-                            )
-                        )
+                    )
                 worst_safe = min(worst_safe, safe)
             rollbacks.append(idle_limit - worst_safe)
-        if self._recorder is not None:
-            self._recorder.record_ubench_rollbacks(core.label, rollbacks)
         return UbenchCharacterization(
             core_label=core.label,
             idle_limit=idle_limit,
@@ -384,11 +373,13 @@ class Characterizer:
     ) -> dict[str, ChipCharacterization]:
         """Run the full methodology over a fleet of chips, in order.
 
-        The fleet entry point used by the population experiments and
-        :mod:`repro.core.fleet`.  Chips are processed strictly in input
-        order (characterization is probe-driven, so ordering determines
-        the event stream; keeping it fixed keeps artifacts byte-identical
-        between per-chip and fleet-batched solving downstream).
+        The entry point of the population experiments (the sampled fleet
+        of :mod:`repro.core.fleet` is characterized by
+        :func:`repro.core.char_record.characterize_chunk` instead).
+        Chips are processed strictly in input order (characterization is
+        probe-driven, so ordering determines the event stream; keeping it
+        fixed keeps artifacts byte-identical between per-chip and
+        fleet-batched solving downstream).
         """
         return {
             chip.chip_id: self.characterize_chip(

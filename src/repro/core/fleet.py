@@ -31,6 +31,7 @@ from pathlib import Path
 
 from ..analysis.rendering import ascii_table
 from ..atm.chip_sim import ChipSim, CoreAssignment, MarginMode
+from ..atm.core_sim import check_noise_sigma
 from ..errors import ConfigurationError
 from ..fastpath.cache import reset_solve_cache
 from ..fastpath.compiled import compile_draw
@@ -50,17 +51,15 @@ from ..obs.stream.exact import MergeableStat
 from ..obs.stream.progress import ProgressReporter
 from ..obs.stream.rotate import RotatingJsonlSink
 from ..obs.tsdb.series import Tsdb
-from ..rng import RngStreams
 from ..silicon.chipspec import CORES_PER_CHIP, ChipDraw, draw_chips
 from ..workloads.base import IDLE
 from ..workloads.ubench import UBENCH_SUITE
 from .char_record import (
-    CharRecorder,
     char_key,
+    characterize_chunk,
     decode_char,
     replay_characterization,
 )
-from .characterize import Characterizer
 
 #: Default chips per memory-bounded processing chunk.
 DEFAULT_CHUNK_SIZE = 64
@@ -221,6 +220,7 @@ def _validate_fleet_args(
     n_cores: int,
     mode: MarginMode,
     reduction_steps: int,
+    noise_sigma_ps: float,
 ) -> None:
     """Reject malformed fleet inputs before any chip is sampled.
 
@@ -244,6 +244,8 @@ def _validate_fleet_args(
         raise ConfigurationError(
             f"reduction steps only apply to ATM mode, not {mode}"
         )
+    # The chunk pass builds no SafetyProbe, so the fleet checks sigma itself.
+    check_noise_sigma(noise_sigma_ps)
 
 
 #: Workload runs per configuration step in fleet characterization (the
@@ -252,87 +254,79 @@ def _validate_fleet_args(
 _FLEET_REPEATS_PER_STEP = 2
 
 
-def _characterize_chip(
-    draw: ChipDraw,
+def _characterized_chunk(
+    chunk: range,
     *,
-    chip_seed: int,
+    seed: int,
     trials: int,
+    n_cores: int,
     noise_sigma_ps: float,
 ):
-    """Characterize one drawn chip (the Fig. 6 idle → uBench stages).
+    """Draw and characterize one chunk (the Fig. 6 idle → uBench stages).
 
-    Fleet chip ``index`` is ``draw_chip(seed + index)`` with its own
-    characterizer seeded the same way (``chip_seed``) — the shared
-    per-chip recipe of :func:`characterize_fleet` and
-    :func:`collect_chip_stats`, so both observe identical chips (and
-    emit identical event streams) for a given seed.
+    Fleet chip ``index`` is ``draw_chip(seed + index)``, characterized as
+    a :class:`~repro.core.characterize.Characterizer` seeded
+    ``seed + index`` would characterize it — the shared per-chip recipe
+    of :func:`characterize_fleet` and :func:`collect_chip_stats`, so both
+    observe identical chips (and emit identical event streams) for a
+    given seed.
 
-    Returns ``(chip, idle, ubench, probe_count)``.  With a persistent
-    store configured, a chip whose characterization record is already on
-    disk is *replayed* — identical results and telemetry, no probes —
-    and ``chip`` comes back ``None`` because no spec objects were
-    materialized; a live characterization is recorded and written back
-    (writable stores only).
+    Yields ``(draw, chip, idle, ubench, probes)`` chip by chip, in order.
+    Every chip is served through :func:`replay_characterization`: a chip
+    whose record the persistent store holds replays it, and ``chip`` is
+    ``None`` because no spec object was materialized; the other (cold)
+    chips are materialized and characterized together by
+    :func:`characterize_chunk`, one record at a time, and each cold
+    record is written back (writable stores only) just before its chip
+    is yielded, so the store receives a chip's records in chip order,
+    interleaved with whatever the caller writes for the chip.
     """
+    draws = draw_chips(seed, chunk, n_cores=n_cores)
     store = get_store()
-    key = None
-    corrupt_before = 0
+    records: list[dict | None] = [None] * len(draws)
+    keys: list[bytes | None] = [None] * len(draws)
+    corrupt = [0] * len(draws)
     if store is not None:
-        key = char_key(
-            draw,
-            seed=chip_seed,
-            trials=trials,
-            repeats_per_step=_FLEET_REPEATS_PER_STEP,
-            noise_sigma_ps=noise_sigma_ps,
-            workloads=(IDLE, *UBENCH_SUITE),
-        )
-        corrupt_before = store.corrupt_entries
-        payload = store.get(KIND_CHAR, key)
-        if payload is not None:
-            record = decode_char(payload)
-            if record is not None and record["labels"] == list(draw.labels):
-                idle, ubench, probes = replay_characterization(record, get_obs())
-                publish_store_counters(
-                    hits=1, corrupt=store.corrupt_entries - corrupt_before
-                )
-                return None, idle, ubench, probes
-
-    chip = draw.materialize()
-    recorder = (
-        CharRecorder() if store is not None and store.writable else None
-    )
-    characterizer = Characterizer(
-        RngStreams(chip_seed),
-        trials=trials,
-        noise_sigma_ps=noise_sigma_ps,
-        recorder=recorder,
-    )
-    characterizer.prepare_streams(chip.cores, ("idle", "ubench"))
-    idle = {
-        core.label: characterizer.characterize_idle(core)
-        for core in chip.cores
-    }
-    ubench = {
-        core.label: characterizer.characterize_ubench(
-            core, idle[core.label].idle_limit
-        )
-        for core in chip.cores
-    }
-    probes = characterizer.total_probe_count
-    if store is not None:
-        wrote = False
-        if recorder is not None:
-            wrote = store.put(
-                KIND_CHAR,
-                key,
-                recorder.encode(labels=draw.labels, probe_count=probes),
+        for position, (index, draw) in enumerate(zip(chunk, draws)):
+            keys[position] = key = char_key(
+                draw,
+                seed=seed + index,
+                trials=trials,
+                repeats_per_step=_FLEET_REPEATS_PER_STEP,
+                noise_sigma_ps=noise_sigma_ps,
+                workloads=(IDLE, *UBENCH_SUITE),
             )
-        publish_store_counters(
-            misses=1,
-            writes=1 if wrote else 0,
-            corrupt=store.corrupt_entries - corrupt_before,
-        )
-    return chip, idle, ubench, probes
+            corrupt_before = store.corrupt_entries
+            payload = store.get(KIND_CHAR, key)
+            record = decode_char(payload) if payload is not None else None
+            corrupt[position] = store.corrupt_entries - corrupt_before
+            if record is not None and record["labels"] == list(draw.labels):
+                records[position] = record
+                publish_store_counters(hits=1, corrupt=corrupt[position])
+
+    cold = [position for position, record in enumerate(records) if record is None]
+    chips = {position: draws[position].materialize() for position in cold}
+    fresh = characterize_chunk(
+        list(chips.values()),
+        [seed + chunk[position] for position in cold],
+        trials=trials,
+        repeats_per_step=_FLEET_REPEATS_PER_STEP,
+        noise_sigma_ps=noise_sigma_ps,
+    )
+    obs = get_obs()
+    for position, draw in enumerate(draws):
+        record = records[position]
+        if record is None:
+            record, payload = next(fresh)
+            if store is not None:
+                wrote = payload is not None and store.put(
+                    KIND_CHAR, keys[position], payload
+                )
+                publish_store_counters(
+                    misses=1, writes=1 if wrote else 0, corrupt=corrupt[position]
+                )
+        idle, ubench, probes = replay_characterization(record, obs)
+        yield draw, chips.get(position), idle, ubench, probes
 
 
 def _chunks(n_chips: int, chunk_size: int) -> list[range]:
@@ -427,21 +421,23 @@ def collect_chip_stats(
     no aggregation — the per-chip rows feed
     :mod:`repro.obs.analyze.fleet_health`'s outlier fences.
     """
-    _validate_fleet_args(n_chips, 1, trials, n_cores, MarginMode.ATM, 0)
-    # One chunk of draws alive at a time keeps memory O(chunk size).
-    chip_draws = (
-        (index, draw)
-        for chunk in _chunks(n_chips, DEFAULT_CHUNK_SIZE)
-        for index, draw in zip(chunk, draw_chips(seed, chunk, n_cores=n_cores))
+    _validate_fleet_args(
+        n_chips, 1, trials, n_cores, MarginMode.ATM, 0, noise_sigma_ps
     )
-    stats = []
-    for index, draw in chip_draws:
-        _chip, idle, ubench, probes = _characterize_chip(
-            draw,
-            chip_seed=seed + index,
+    # One chunk of chips alive at a time keeps memory O(chunk size).
+    characterized = (
+        chip
+        for chunk in _chunks(n_chips, DEFAULT_CHUNK_SIZE)
+        for chip in _characterized_chunk(
+            chunk,
+            seed=seed,
             trials=trials,
+            n_cores=n_cores,
             noise_sigma_ps=noise_sigma_ps,
         )
+    )
+    stats = []
+    for draw, _chip, idle, ubench, probes in characterized:
         idle_counts: dict[int, int] = {}
         ubench_counts: dict[int, int] = {}
         rollback_counts: dict[int, int] = {}
@@ -547,23 +543,25 @@ def _process_chunk(
 ) -> None:
     """Characterize + solve one chunk of chips into ``accumulator``.
 
-    Chips whose characterization and compiled tables are already in the
-    persistent store never materialize spec objects: the chunk streams
-    their draws straight into store-served :class:`CompiledChip` tables
-    and plain assignment tuples, and the solve batch (the same
-    :func:`solve_chips_cached` call either way) serves their converged
-    states from disk too.  Cold chips run the live path and write every
-    record back.
+    Every chip's characterization is replayed from its record
+    (:func:`_characterized_chunk`).  Chips whose characterization and
+    compiled tables are already in the persistent store never
+    materialize spec objects: the chunk streams their draws straight
+    into store-served :class:`CompiledChip` tables and plain assignment
+    tuples, and the solve batch (the same :func:`solve_chips_cached`
+    call either way) serves their converged states from disk too.  Cold
+    chips are characterized by one chunk pass and compiled from their
+    materialized specs, and every record they produce is written back.
     """
     entries = []
     per_chip = []
-    for index, draw in zip(chunk, draw_chips(seed, chunk, n_cores=n_cores)):
-        chip, idle, ubench, probes = _characterize_chip(
-            draw,
-            chip_seed=seed + index,
-            trials=trials,
-            noise_sigma_ps=noise_sigma_ps,
-        )
+    for draw, chip, idle, ubench, probes in _characterized_chunk(
+        chunk,
+        seed=seed,
+        trials=trials,
+        n_cores=n_cores,
+        noise_sigma_ps=noise_sigma_ps,
+    ):
         tuned_reductions = [ubench[label].ubench_limit for label in draw.labels]
         if chip is not None:
             sim = ChipSim(chip)
@@ -773,8 +771,11 @@ def characterize_fleet(
 ) -> FleetReport:
     """Run the Fig. 6 idle → uBench methodology over a sampled fleet.
 
-    Chip ``i`` is ``draw_chip(seed + i, chip_id=f"F{i}")`` with its own
-    characterizer seeded ``seed + i``, so the result is a pure function of
+    Chip ``i`` is ``draw_chip(seed + i, chip_id=f"F{i}")``, characterized
+    as a :class:`~repro.core.characterize.Characterizer` seeded
+    ``seed + i`` would characterize it (each chunk's cold chips in one
+    :func:`characterize_chunk` pass, every chip replayed from its
+    record), so the result is a pure function of
     ``seed`` and ``n_chips`` — the chunk size only bounds memory, and
     ``jobs`` only bounds wall-clock: chunks fold through order-invariant
     accumulators (exact sums, integer counts, mergeable streaming
@@ -796,7 +797,7 @@ def characterize_fleet(
     evaluation over it — is chunking- and pool-invariant too.
     """
     _validate_fleet_args(
-        n_chips, chunk_size, trials, n_cores, mode, reduction_steps
+        n_chips, chunk_size, trials, n_cores, mode, reduction_steps, noise_sigma_ps
     )
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")

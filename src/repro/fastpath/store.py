@@ -174,9 +174,7 @@ class SolveStore:
     def _data_view(self, end: int) -> mmap.mmap | None:
         """Read-only mmap of the data file covering at least ``end`` bytes."""
         if self._mm is None or end > self._mapped_size:
-            if self._mm is not None:
-                self._mm.close()
-                self._mm = None
+            self._release_map()
             size = self.dat_path.stat().st_size if self.dat_path.exists() else 0
             if end > size:
                 return None
@@ -186,6 +184,22 @@ class SolveStore:
                 )
             self._mapped_size = size
         return self._mm
+
+    def _release_map(self) -> None:
+        """Drop the current mapping.
+
+        Zero-copy readers may still hold views into it (a fleet chunk
+        keeps its store-served records and compiled tables until its
+        solve); ``mmap.close`` then refuses (exported pointers), and the
+        mapping is unmapped when the last view is released.
+        """
+        if self._mm is not None:
+            try:
+                self._mm.close()
+            except BufferError:
+                pass
+            self._mm = None
+        self._mapped_size = 0
 
     # -- read / write --------------------------------------------------------
 
@@ -385,18 +399,10 @@ class SolveStore:
     def close(self) -> None:
         """Release the mmap and append handles (records stay on disk).
 
-        Zero-copy readers may still hold numpy views into the mapping; in
-        that case ``mmap.close`` refuses (exported pointers) and the page
-        mapping is simply left for the OS to reclaim when the last view
-        dies.  Either way this store object stops handing out new views.
+        Views already handed out stay valid (:meth:`_release_map`); this
+        store object stops handing out new ones.
         """
-        if self._mm is not None:
-            try:
-                self._mm.close()
-            except BufferError:
-                pass  # live zero-copy views; OS reclaims on last release
-            self._mm = None
-        self._mapped_size = 0
+        self._release_map()
         for handle in (self._idx_handle, self._dat_handle):
             if handle is not None:
                 handle.close()

@@ -103,9 +103,9 @@ class NullSink(EventSink):
 #: ``json.dumps(event_to_dict(e), sort_keys=True, separators=(",", ":"))``.
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
-#: Most distinct strings the literal memo keeps.  A run has a few dozen
-#: (core labels, workload names, stages); beyond the limit strings are
-#: still encoded, just not remembered.
+#: Most distinct strings the literal memo keeps.  An experiment has a few
+#: dozen (core labels, workload names, stages); a fleet stream has eight
+#: new core labels per chip, so a full memo is cleared and refilled.
 _STR_MEMO_LIMIT = 1024
 
 
@@ -114,8 +114,9 @@ class _StrLiterals(dict):
 
     def __missing__(self, value: str) -> str:
         literal = encode_basestring_ascii(value)
-        if len(self) < _STR_MEMO_LIMIT:
-            self[value] = literal
+        if len(self) >= _STR_MEMO_LIMIT:
+            self.clear()
+        self[value] = literal
         return literal
 
 

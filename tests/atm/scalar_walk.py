@@ -2,10 +2,10 @@
 
 Every probe computes its slack with the scalar delay arithmetic, draws
 its own noise value, samples a failure mode with the NumPy cdf search,
-and writes its recorder op, ``CpmStepEvent`` and counter increments
-before the next probe runs.  :class:`repro.atm.core_sim.SafetyProbe`
-must match it exactly: results, probe counts, generator state, recorder
-payload, event stream and counters.
+and writes its ``CpmStepEvent`` and counter increments before the next
+probe runs.  :class:`repro.atm.core_sim.SafetyProbe` must match it
+exactly: results, probe counts, generator state, event stream and
+counters.
 """
 
 from __future__ import annotations
@@ -56,10 +56,9 @@ def scalar_slack_ps(core, reduction_steps: int, stress: float) -> float:
 class ScalarSafetyProbe:
     """One probe at a time: the reference for ``SafetyProbe``'s walks."""
 
-    def __init__(self, rng, noise_sigma_ps: float, *, recorder=None):
+    def __init__(self, rng, noise_sigma_ps: float):
         self._rng = rng
         self._noise_sigma_ps = noise_sigma_ps
-        self._recorder = recorder
         self.probe_count = 0
 
     def probe(self, core, reduction_steps: int, workload) -> bool:
@@ -71,10 +70,6 @@ class ScalarSafetyProbe:
         safe = slack >= 0.0
         if not safe:
             numpy_sample_mode(self._rng, -slack)
-        if self._recorder is not None:
-            self._recorder.record_probes(
-                core.label, workload.name, [reduction_steps], [safe], [slack]
-            )
         obs = get_obs()
         if obs.enabled:
             obs.emit_new(

@@ -100,9 +100,10 @@ class TestSafetyProbe:
             outcomes.add(probe.max_safe_reduction(core, IDLE))
         assert len(outcomes) <= 2
 
-    def test_negative_noise_rejected(self):
+    @pytest.mark.parametrize("sigma", [-0.1, float("nan"), float("inf")])
+    def test_negative_noise_rejected(self, sigma):
         with pytest.raises(ConfigurationError):
-            SafetyProbe(np.random.default_rng(0), noise_sigma_ps=-0.1)
+            SafetyProbe(np.random.default_rng(0), noise_sigma_ps=sigma)
 
     def test_start_validated(self, testbed):
         core = testbed.chips[0].cores[0]

@@ -4,8 +4,8 @@
 rewinds the generator to the prefix it used; ``rollback_to_safe`` loops
 over the cached slack row.  Both must be indistinguishable from probing
 one run at a time (:mod:`tests.atm.scalar_walk`): same results, probe
-counts, generator state, recorder payload, events and counters, in dark,
-metrics-only and event-capturing contexts.
+counts, generator state, events and counters, in dark, metrics-only and
+event-capturing contexts.
 """
 
 import numpy as np
@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.atm.core_sim import SafetyProbe
-from repro.core.char_record import CharRecorder
 from repro.obs.events import event_to_dict
 from repro.obs.runtime import Observability, observed
 from repro.obs.sinks import NullSink, RingBufferSink
@@ -44,8 +43,7 @@ calls = st.tuples(
 def _run(probe_cls, core, plan, *, seed, sigma, context):
     """Run ``plan`` on one probe in ``context``; everything observable."""
     rng = np.random.default_rng(seed)
-    recorder = CharRecorder() if context == "events" else None
-    probe = probe_cls(rng, noise_sigma_ps=sigma, recorder=recorder)
+    probe = probe_cls(rng, noise_sigma_ps=sigma)
     sink = {"dark": None, "metrics": NullSink(), "events": RingBufferSink()}[context]
     obs = Observability(sink)
     results = []
@@ -66,9 +64,6 @@ def _run(probe_cls, core, plan, *, seed, sigma, context):
         "results": results,
         "probe_count": probe.probe_count,
         "state": rng.bit_generator.state,
-        "payload": None
-        if recorder is None
-        else recorder.encode(labels=[core.label], probe_count=probe.probe_count),
         "events": [event_to_dict(e) for e in sink.events()]
         if context == "events"
         else None,

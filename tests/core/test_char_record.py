@@ -19,11 +19,14 @@ from repro.core.char_record import (
     OPS_DTYPE,
     CharRecorder,
     _pad8,
-    decode_char,
+    characterize_chunk,
 )
-from repro.core.characterize import Characterizer
-from repro.rng import RngStreams
+from repro.obs.events import CpmStepEvent
+from repro.obs.runtime import Observability, observed
+from repro.obs.sinks import NullSink, RingBufferSink
 from repro.silicon import sample_chip
+
+from .chip_oracle import characterize_chip
 
 
 class RowLog(CharRecorder):
@@ -102,23 +105,35 @@ def _row_encoding(recorder: RowLog, labels, probe_count) -> bytes:
 
 class TestColumnEncoding:
     def test_live_characterization_payload(self):
+        # A real characterization log: the chunk pass's record against one
+        # row per event of the per-chip walk.
         chip = sample_chip(7, chip_id="P0")
-        recorder = RowLog()
-        characterizer = Characterizer(
-            RngStreams(2019), trials=4, noise_sigma_ps=0.1, recorder=recorder
-        )
-        idle = {
-            core.label: characterizer.characterize_idle(core) for core in chip.cores
-        }
-        for core in chip.cores:
-            characterizer.characterize_ubench(core, idle[core.label].idle_limit)
+        with observed(Observability(NullSink())):
+            ((record, payload),) = characterize_chunk(
+                [chip], [2019], trials=4, repeats_per_step=2, noise_sigma_ps=0.1
+            )
+        assert payload is None  # metrics-only: no op log
+        with observed(Observability(RingBufferSink())):
+            ((record, payload),) = characterize_chunk(
+                [chip], [2019], trials=4, repeats_per_step=2, noise_sigma_ps=0.1
+            )
+        live = characterize_chip(chip, 2019, trials=4, noise_sigma_ps=0.1)
+        rows = [
+            (OP_PROBE, e.core_label, e.workload, e.reduction_steps, e.safe, e.slack_ps)
+            if isinstance(e, CpmStepEvent)
+            else (OP_ROLLBACK, e.core_label, e.workload, e.from_steps, e.to_steps, 0.0)
+            for e in live["events"]
+        ]
         labels = [core.label for core in chip.cores]
-        probes = characterizer.total_probe_count
-        payload = recorder.encode(labels=labels, probe_count=probes)
-        assert payload == _row_encoding(recorder, labels, probes)
-        record = decode_char(payload)
-        assert len(record["ops"]) == len(recorder.rows)
-        assert record["probes"] == probes
+        assert payload == encode_rows(
+            rows,
+            labels=labels,
+            idle=record["idle"],
+            rollbacks=record["rollbacks"],
+            probe_count=record["probes"],
+        )
+        assert len(record["ops"]) == len(rows)
+        assert any(row[0] == OP_ROLLBACK for row in rows)
 
     def test_empty_log(self):
         recorder = RowLog()

@@ -69,6 +69,19 @@ class TestFleetValidation:
         with pytest.raises(ConfigurationError):
             characterize_fleet(2, mode=MarginMode.STATIC, reduction_steps=2)
 
+    @pytest.mark.parametrize("sigma", [-0.1, float("nan"), float("inf")])
+    def test_negative_noise_rejected(self, sigma, monkeypatch):
+        # NaN used to run noise-free and inf to zero every idle limit;
+        # all three fail before any chip is drawn.
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a chip was drawn")
+
+        monkeypatch.setattr(fleet, "draw_chips", no_draws)
+        with pytest.raises(ConfigurationError, match="noise_sigma_ps"):
+            characterize_fleet(8, noise_sigma_ps=sigma)
+        with pytest.raises(ConfigurationError, match="noise_sigma_ps"):
+            collect_chip_stats(8, noise_sigma_ps=sigma)
+
 
 class TestCharacterizeFleet:
     def test_chunking_is_invisible(self):

@@ -113,6 +113,22 @@ class TestFleetSummaryIdentity:
         assert warm == baseline
         assert get_store().stats()["char_hits"] >= CHIPS
 
+    def test_growing_fleets_share_one_store(self, tmp_path):
+        # Each call reads the records the previous one appended while it
+        # still holds the views of earlier ones, so the store remaps its
+        # data file under live views.
+        sizes = (CHIPS - 2, CHIPS, CHIPS)
+        kwargs = {"seed": 2019, "trials": TRIALS, "n_cores": CORES}
+        stats = [collect_chip_stats(n, **kwargs) for n in sizes]
+        reports = [characterize_fleet(n, **kwargs).to_dict() for n in sizes]
+        configure_store(tmp_path / "stats")
+        for n, expected in zip(sizes, stats):
+            assert collect_chip_stats(n, **kwargs) == expected
+        configure_store(tmp_path / "fleet")
+        for n, expected in zip(sizes, reports):
+            reset_solve_cache()
+            assert characterize_fleet(n, **kwargs).to_dict() == expected
+
 
 class TestObservedRunIdentity:
     def test_events_and_manifests_identical_cold_warm_disabled(self, tmp_path):

@@ -285,6 +285,20 @@ class TestSolveStore:
         assert reader.stats()["writes"] == 0
         reader.close()
 
+    def test_remap_while_an_earlier_view_is_alive(self, tmp_path):
+        # A record appended after the data file was mapped needs a new
+        # mapping; a view of an earlier record must neither block that
+        # nor go stale.
+        store = _store(tmp_path)
+        first, second = compiled_key("a1" * 32), compiled_key("b2" * 32)
+        store.put(KIND_COMPILED, first, b"first")
+        held = store.get(KIND_COMPILED, first)
+        store.put(KIND_COMPILED, second, b"second")
+        assert bytes(store.get(KIND_COMPILED, second)) == b"second"
+        assert bytes(held) == b"first"
+        store.close()
+        assert bytes(held) == b"first"
+
     def test_truncated_final_record_reads_as_miss(self, tmp_path):
         store = _store(tmp_path)
         key = compiled_key("12" * 32)

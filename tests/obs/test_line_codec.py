@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.obs import sinks
 from repro.obs.events import EVENT_TYPES, CpmStepEvent, ObsEvent, event_to_dict
 from repro.obs.sinks import event_to_json_line
 
@@ -87,6 +88,20 @@ class TestCodecMatchesJson:
     def test_base_event_with_one_field(self):
         event = ObsEvent(seq=5)
         assert event_to_json_line(event) == '{"seq":5,"type":"ObsEvent"}'
+
+
+class TestStringMemo:
+    def test_string_first_seen_after_the_memo_filled_is_memoized(self):
+        # A fleet stream names eight new cores per chip: labels that first
+        # appear after the memo filled must still be served from it.
+        memo = sinks._LITERALS[str].__self__
+        for index in range(sinks._STR_MEMO_LIMIT + 1):
+            event = _step(core_label=f"F{index}C0")
+            assert event_to_json_line(event) == canonical_line(event)
+        assert len(memo) <= sinks._STR_MEMO_LIMIT
+        late = f"F{sinks._STR_MEMO_LIMIT}C0"
+        assert late in memo
+        assert memo[late] == json.dumps(late)
 
 
 class TestFallback:

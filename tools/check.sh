@@ -297,8 +297,9 @@ python -m pytest -q benchmarks/e2e || failures=$((failures + 1))
 echo "== e2e fleet report digests (full-size seed-2019 fleets) =="
 # A zero-second run still sets up and runs one full pass, and its last
 # line says whether every report digest matched
-# benchmarks/e2e/reference.json.
-for workload in fleet_warm fleet_cold; do
+# benchmarks/e2e/reference.json.  fleet_full also checks the event, tsdb
+# and alert digests of an observed run that writes a store.
+for workload in fleet_warm fleet_cold fleet_full; do
     if python3 benchmarks/e2e/run.py --workload "$workload" --seconds 0 \
             | tail -n 1 | grep -q '^{"correct": true,'; then
         echo "$workload digests ok"
