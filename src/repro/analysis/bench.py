@@ -15,7 +15,6 @@ minimum estimates the compute cost with the least scheduling noise.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,17 +22,13 @@ from ..errors import ConfigurationError, SimulationError
 from ..experiments import REGISTRY
 from ..fastpath.cache import get_solve_cache, reset_solve_cache
 from ..obs.profiling import wall_clock_s
+from ..obs.stream import gates
 
 #: Schema tag written into the artifact so downstream tooling can evolve.
 #: v2 adds the persistent-store cold/warm entry (``store``), v3 the
 #: alerting-tax entry (``obs_export``), alongside the v1 fields; older
 #: artifacts still load in :func:`compare_to_baseline`.
 SCHEMA = "bench_solver/v3"
-
-#: Absolute wall-clock slack for the regression gate: totals below this
-#: delta are scheduling noise on shared CI hosts, never a regression.
-#: ``repro bench --compare`` overrides it with ``--noise-floor-ms``.
-MIN_REGRESSION_S = 0.05
 
 #: Minimum warm-over-cold speedup the persistent solve store must keep
 #: delivering for ``--compare`` to pass when the fresh run benched it.
@@ -43,29 +38,6 @@ STORE_SPEEDUP_FLOOR = 3.0
 #: reach over a plain fleet characterization for ``--compare`` to pass
 #: when the fresh run benched it (1.05 = at most 5% alerting tax).
 ALERTS_OVERHEAD_CEILING = 1.05
-
-
-def exceeds_ratio_gate(
-    fresh: float,
-    base: float,
-    *,
-    threshold: float,
-    min_delta: float = MIN_REGRESSION_S,
-) -> bool:
-    """Shared regression predicate: ratio threshold plus a noise floor.
-
-    True when ``fresh / base > threshold`` *and* the absolute increase
-    exceeds ``min_delta`` — the same two-condition gate ``--compare`` uses
-    for wall-clock totals, reused by ``repro obs history`` for metric
-    series (with a caller-chosen floor).
-    """
-    if threshold <= 0.0:
-        raise ConfigurationError(f"threshold must be > 0, got {threshold}")
-    if base > 0.0:
-        ratio = fresh / base
-    else:
-        ratio = float("inf") if fresh > 0.0 else 0.0
-    return ratio > threshold and (fresh - base) > min_delta
 
 
 @dataclass(frozen=True)
@@ -182,9 +154,8 @@ class ObsOverheadBench:
     """Instrumentation tax: fleet characterization observed vs dark.
 
     Both runs converge the identical chip set from a cold solve cache; the
-    observed run uses the metrics-only streaming-telemetry mode (NullSink
-    + streaming gauges) — the always-on configuration fleet-scale runs
-    pay for — so the delta is the metric-fold tax, not event serialization
+    observed run collects metrics behind a NullSink — the always-on
+    configuration fleet-scale runs pay for — so the delta is the metric-fold tax, not event serialization
     or disk I/O.
     """
 
@@ -220,11 +191,10 @@ def run_obs_overhead_bench(
 
     Best-of-``repeat`` walls on each side, cold solve cache per pass.  The
     observed side uses a :class:`~repro.obs.sinks.NullSink` (events are
-    suppressed at the construction site; instruments still fold) with a
-    streaming-gauge registry, so the measured overhead is the
-    instrumentation tax the ``--metrics-mode streaming`` fleet path pays
-    — the number the tools/check.sh obs-overhead gate holds below its
-    threshold.
+    suppressed at the construction site; instruments still fold), so the
+    measured overhead is the instrumentation tax of the metrics-only
+    fleet path — the number the tools/check.sh obs-overhead gate holds
+    below its threshold.
     """
     from ..core.fleet import characterize_fleet
     from ..obs.metrics import MetricsRegistry
@@ -246,9 +216,7 @@ def run_obs_overhead_bench(
         disabled_wall_s = min(disabled_wall_s, wall_clock_s() - start_s)
 
         reset_solve_cache()
-        obs = Observability(
-            NullSink(), metrics=MetricsRegistry(gauge_mode="streaming")
-        )
+        obs = Observability(NullSink(), metrics=MetricsRegistry())
         start_s = wall_clock_s()
         with observed(obs):
             lit = characterize_fleet(n_chips, seed=seed)
@@ -264,93 +232,6 @@ def run_obs_overhead_bench(
         disabled_wall_s=disabled_wall_s,
         enabled_wall_s=enabled_wall_s,
         probes=probes,
-    )
-
-
-@dataclass(frozen=True)
-class GaugeMemoryBench:
-    """Exact-vs-streaming gauge memory at fleet-scale sample counts.
-
-    Feeds the identical sample series into an exact (trace-backed) gauge
-    and a streaming (sketch-backed) one, then reports the resident bytes
-    of each and the worst observed quantile error against the documented
-    sketch bound.
-    """
-
-    samples: int
-    exact_nbytes: int
-    streaming_nbytes: int
-    max_quantile_error: float
-    error_bound: float
-
-    @property
-    def compression(self) -> float:
-        """Exact bytes over streaming bytes (higher = better)."""
-        if self.streaming_nbytes <= 0:
-            return float("inf")
-        return self.exact_nbytes / self.streaming_nbytes
-
-    def to_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "exact_nbytes": self.exact_nbytes,
-            "streaming_nbytes": self.streaming_nbytes,
-            "compression": round(self.compression, 2),
-            "max_quantile_error": round(self.max_quantile_error, 6),
-            "error_bound": round(self.error_bound, 6),
-        }
-
-
-def run_gauge_memory_bench(
-    samples: int = 100_000,
-    *,
-    seed: int = 2019,
-) -> GaugeMemoryBench:
-    """Measure streaming-gauge memory against the exact recorder.
-
-    Draws ``samples`` lognormal values from a named
-    :class:`~repro.rng.RngStreams` stream (RL001), sets them on one exact
-    and one streaming gauge, and compares p50/p95/p99: the streaming
-    estimates must land within the sketch's documented relative error
-    bound of the exact values, at a small fixed memory footprint.
-    """
-    from ..obs.metrics import Gauge
-    from ..rng import RngStreams
-
-    if samples < 1:
-        raise ConfigurationError(f"samples must be >= 1, got {samples}")
-
-    stream = RngStreams(seed).stream("bench.gauge_memory")
-    values = stream.lognormal(mean=0.0, sigma=1.0, size=samples)
-
-    exact = Gauge("bench.exact", mode="exact")
-    streaming = Gauge("bench.streaming", mode="streaming")
-    for tick, value in enumerate(values):
-        exact.set(float(value), tick=float(tick))
-        streaming.set(float(value), tick=float(tick))
-
-    bound = streaming.sketch.quantile_error_bound
-    ordered = sorted(float(value) for value in values)
-    worst = 0.0
-    for q in (0.50, 0.95, 0.99):
-        # Nearest-rank truth — the rank semantics the sketch's relative
-        # error bound is stated against.
-        rank = max(1, math.ceil(q * samples))
-        truth = ordered[rank - 1]
-        estimate = streaming.sketch.quantile(q)
-        if truth > 0.0:
-            worst = max(worst, abs(estimate - truth) / truth)
-    if worst > bound:
-        raise SimulationError(
-            f"streaming gauge quantile error {worst:.6f} exceeds the "
-            f"documented bound {bound:.6f}"
-        )
-    return GaugeMemoryBench(
-        samples=samples,
-        exact_nbytes=exact.memory_nbytes,
-        streaming_nbytes=streaming.memory_nbytes,
-        max_quantile_error=worst,
-        error_bound=bound,
     )
 
 
@@ -611,7 +492,6 @@ class BenchReport:
     baseline_total_s: float | None
     fleet: FleetBench | None = None
     obs_overhead: ObsOverheadBench | None = None
-    gauge_memory: GaugeMemoryBench | None = None
     store: StoreBench | None = None
     obs_export: ObsExportBench | None = None
 
@@ -652,8 +532,6 @@ class BenchReport:
             doc["fleet"] = self.fleet.to_dict()
         if self.obs_overhead is not None:
             doc["obs_overhead"] = self.obs_overhead.to_dict()
-        if self.gauge_memory is not None:
-            doc["gauge_memory"] = self.gauge_memory.to_dict()
         if self.store is not None:
             doc["store"] = self.store.to_dict()
         if self.obs_export is not None:
@@ -694,15 +572,6 @@ class BenchReport:
                 f"{oh.enabled_wall_s:.3f}s -> "
                 f"+{100.0 * oh.overhead_ratio:.1f}%"
             )
-        if self.gauge_memory is not None:
-            gm = self.gauge_memory
-            lines.append(
-                f"gauge memory ({gm.samples} samples): exact "
-                f"{gm.exact_nbytes} B / streaming {gm.streaming_nbytes} B "
-                f"({gm.compression:.0f}x smaller), worst quantile error "
-                f"{100.0 * gm.max_quantile_error:.2f}% "
-                f"(bound {100.0 * gm.error_bound:.2f}%)"
-            )
         if self.store is not None:
             st = self.store
             lines.append(
@@ -734,7 +603,6 @@ def run_bench(
     out_path: str | Path | None = "BENCH_solver.json",
     fleet_chips: int = 0,
     obs_chips: int = 0,
-    gauge_samples: int = 0,
     store_chips: int = 0,
     export_chips: int = 0,
 ) -> BenchReport:
@@ -748,8 +616,7 @@ def run_bench(
     a :class:`FleetBench` entry timing population-vs-loop solving over
     that many sampled chips.  ``obs_chips > 0`` appends an
     :class:`ObsOverheadBench` entry (the tools/check.sh obs-overhead gate
-    reads it), and ``gauge_samples > 0`` a :class:`GaugeMemoryBench`
-    entry witnessing the streaming gauge's bounded memory.
+    reads it).
     ``store_chips > 0`` appends a :class:`StoreBench` entry timing fleet
     characterization cold vs warm against a temporary persistent store
     (the tools/check.sh store gate holds its speedup above the floor).
@@ -810,11 +677,6 @@ def run_bench(
         if obs_chips > 0
         else None
     )
-    gauge_memory = (
-        run_gauge_memory_bench(gauge_samples, seed=seed)
-        if gauge_samples > 0
-        else None
-    )
     store = (
         run_store_bench(store_chips, seed=seed, repeat=repeat)
         if store_chips > 0
@@ -836,7 +698,6 @@ def run_bench(
         baseline_total_s=baseline_total_s,
         fleet=fleet,
         obs_overhead=obs_overhead,
-        gauge_memory=gauge_memory,
         store=store,
         obs_export=obs_export,
     )
@@ -854,15 +715,16 @@ def compare_to_baseline(
     baseline_path: str | Path,
     *,
     threshold: float = 2.0,
-    noise_floor_s: float = MIN_REGRESSION_S,
+    noise_floor_s: float = gates.MIN_REGRESSION_S,
 ) -> tuple[bool, str]:
     """Diff a fresh bench run against a committed artifact (CI perf gate).
 
     Compares the total wall-clock over the experiments both runs measured;
     the gate trips when ``fresh / baseline > threshold`` *and* the
     absolute delta exceeds ``noise_floor_s`` (default
-    :data:`MIN_REGRESSION_S`: sub-50 ms deltas are scheduling noise, not
-    regressions; ``--noise-floor-ms`` tunes it).  When the fresh run
+    :data:`~repro.obs.stream.gates.MIN_REGRESSION_S`: sub-50 ms deltas are
+    scheduling noise, not regressions; ``--noise-floor-ms`` tunes it).
+    When the fresh run
     carries a :class:`StoreBench` entry, its warm-over-cold speedup must
     also stay above :data:`STORE_SPEEDUP_FLOOR` — the same two-condition
     shape, gating ``warm`` against ``cold / floor``.  Returns
@@ -919,7 +781,7 @@ def compare_to_baseline(
             f"{float(doc['fleet'].get('speedup', 0.0)):.2f}x committed"
         )
 
-    regressed = exceeds_ratio_gate(
+    regressed = gates.exceeds_ratio_gate(
         fresh_total, base_total, threshold=threshold, min_delta=noise_floor_s
     )
     if regressed:
@@ -942,7 +804,7 @@ def compare_to_baseline(
             f"  store speedup: {st.speedup:.2f}x warm-over-cold{committed} "
             f"(floor {STORE_SPEEDUP_FLOOR:.1f}x)"
         )
-        store_regressed = exceeds_ratio_gate(
+        store_regressed = gates.exceeds_ratio_gate(
             st.warm_wall_s,
             st.cold_wall_s / STORE_SPEEDUP_FLOOR,
             threshold=1.0,
@@ -967,7 +829,7 @@ def compare_to_baseline(
             f"  alerting tax: +{100.0 * ox.overhead_ratio:.1f}%{committed} "
             f"(ceiling +{100.0 * (ALERTS_OVERHEAD_CEILING - 1.0):.0f}%)"
         )
-        alerts_regressed = exceeds_ratio_gate(
+        alerts_regressed = gates.exceeds_ratio_gate(
             ox.alerting_wall_s,
             ox.plain_wall_s,
             threshold=ALERTS_OVERHEAD_CEILING,
@@ -987,20 +849,16 @@ def compare_to_baseline(
 __all__ = [
     "BenchReport",
     "FleetBench",
-    "GaugeMemoryBench",
     "ObsExportBench",
     "ObsOverheadBench",
     "StoreBench",
     "compare_to_baseline",
-    "exceeds_ratio_gate",
     "run_bench",
     "run_fleet_bench",
-    "run_gauge_memory_bench",
     "run_obs_export_bench",
     "run_obs_overhead_bench",
     "run_store_bench",
     "ALERTS_OVERHEAD_CEILING",
-    "MIN_REGRESSION_S",
     "SCHEMA",
     "STORE_SPEEDUP_FLOOR",
 ]

@@ -38,7 +38,7 @@ Mirrors the stages a vendor/operator would actually run:
     Show a rule pack, or evaluate it over a recorded run's event stream
     (tolerant of truncated segments); ``eval`` exits non-zero on firings.
 ``python -m repro fleet characterize --chips N [--jobs J] [--solve-store DIR]``
-    Chunked fleet characterization; ``--metrics-mode streaming`` and
+    Chunked fleet characterization; streaming gauges and
     ``--segment-events`` keep memory bounded at any fleet size, and the
     outputs are byte-identical across chunk sizes and job counts.
     ``--solve-store`` persists characterizations, compiled tables, and
@@ -156,7 +156,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         out_path=args.out,
         fleet_chips=args.fleet_chips,
         obs_chips=args.obs_chips,
-        gauge_samples=args.gauge_samples,
         store_chips=args.store_chips,
         export_chips=args.export_chips,
     )
@@ -214,7 +213,6 @@ def _cmd_fleet_characterize(args: argparse.Namespace) -> int:
                 args.chips,
                 out_dir=args.out,
                 seed=args.seed,
-                metrics_mode=args.metrics_mode,
                 segment_events=args.segment_events,
                 **kwargs,
             )
@@ -637,11 +635,11 @@ def _cmd_obs_report(args: argparse.Namespace) -> int:
 
     fleet_health = None
     if args.fleet_chips > 0:
-        from .obs.analyze.fleet_health import assess_fleet
+        from .core.fleet_health import assess_fleet
 
         fleet_health = assess_fleet(
             args.fleet_chips, seed=args.seed, trials=args.trials
-        )
+        ).to_dict()
     report = build_report(
         RunStore(args.store),
         threshold=args.threshold,
@@ -660,7 +658,7 @@ def _cmd_obs_report(args: argparse.Namespace) -> int:
 def _cmd_fleet_health(args: argparse.Namespace) -> int:
     import json as _json
 
-    from .obs.analyze.fleet_health import assess_fleet
+    from .core.fleet_health import assess_fleet
 
     report = assess_fleet(
         args.chips,
@@ -915,12 +913,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--obs-chips", type=int, default=0, dest="obs_chips",
         help="also bench obs overhead: characterize N chips dark vs "
-             "observed with streaming metrics (0 skips)",
-    )
-    p_bench.add_argument(
-        "--gauge-samples", type=int, default=0, dest="gauge_samples",
-        help="also bench streaming-gauge memory vs the exact recorder "
-             "at N samples (0 skips)",
+             "observed with metrics only (0 skips)",
     )
     p_bench.add_argument(
         "--export-chips", type=int, default=0, dest="export_chips",
@@ -960,12 +953,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=1,
         help="worker processes for the chunk fan-out (1 = serial; the "
              "report and metric summaries are byte-identical either way)",
-    )
-    p_fchar.add_argument(
-        "--metrics-mode", choices=["exact", "streaming"], default="exact",
-        dest="metrics_mode",
-        help="gauge mode for the observed run (--out): 'streaming' keeps "
-             "O(sketch) memory per gauge and is required for --jobs > 1",
     )
     p_fchar.add_argument(
         "--segment-events", type=int, default=0, dest="segment_events",

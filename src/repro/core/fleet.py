@@ -25,7 +25,6 @@ sealed into a standard run manifest (:func:`run_fleet_observed`).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -48,6 +47,7 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.runtime import Observability, get_obs, observed
 from ..obs.sinks import JsonlFileSink, NullSink
 from ..obs.stream.exact import MergeableStat
+from ..obs.stream.gates import quantile_from_counts
 from ..obs.stream.progress import ProgressReporter
 from ..obs.stream.rotate import RotatingJsonlSink
 from ..obs.tsdb.series import Tsdb
@@ -66,22 +66,6 @@ DEFAULT_CHUNK_SIZE = 64
 
 #: Quantiles reported for the limit distributions.
 QUANTILES = (0.10, 0.50, 0.90)
-
-
-def quantile_from_counts(counts: dict[int, int], q: float) -> int:
-    """Nearest-rank quantile of an integer histogram (exact, streaming)."""
-    if not counts:
-        raise ConfigurationError("cannot take a quantile of an empty histogram")
-    if not (0.0 <= q <= 1.0):
-        raise ConfigurationError(f"quantile must be in [0, 1], got {q}")
-    total = sum(counts.values())
-    rank = max(1, math.ceil(q * total))
-    cumulative = 0
-    for value in sorted(counts):
-        cumulative += counts[value]
-        if cumulative >= rank:
-            return value
-    return max(counts)
 
 
 @dataclass(frozen=True)
@@ -419,7 +403,7 @@ def collect_chip_stats(
     The characterization-only sibling of :func:`characterize_fleet`: same
     chips, same per-chip RNG streams, but no operating-point solves and
     no aggregation — the per-chip rows feed
-    :mod:`repro.obs.analyze.fleet_health`'s outlier fences.
+    :mod:`repro.core.fleet_health`'s outlier fences.
     """
     _validate_fleet_args(
         n_chips, 1, trials, n_cores, MarginMode.ATM, 0, noise_sigma_ps
@@ -700,7 +684,7 @@ def _characterize_chunk_worker(
 
     Starts from a cold solve cache (scheduling must not leak into
     behaviour) and, when the parent run is observed, collects metrics
-    into a private *streaming* registry behind a
+    into a private registry behind a
     :class:`~repro.obs.sinks.NullSink` — mergeable summaries come home,
     per-event streams do not (worker interleaving would make them
     nondeterministic).
@@ -732,9 +716,7 @@ def _characterize_chunk_worker(
         tsdb=tsdb,
     )
     if collect_metrics:
-        local_obs = Observability(
-            NullSink(), metrics=MetricsRegistry(gauge_mode="streaming")
-        )
+        local_obs = Observability(NullSink(), metrics=MetricsRegistry())
         with observed(local_obs):
             _process_chunk(accumulator, chunk, obs=local_obs, **kwargs)
         registry_state = local_obs.metrics.to_state()
@@ -784,12 +766,12 @@ def characterize_fleet(
     ``reduction_steps`` configure the *baseline* row each chip is solved
     at (the fine-tuned row always applies the chip's own uBench limits).
 
-    With ``jobs > 1`` under an enabled observability context the registry
-    must be in streaming gauge mode (exact gauge traces cannot merge),
-    and per-event streams are not captured — worker scheduling would
-    interleave them nondeterministically.  ``progress`` (an operator-
-    facing :class:`~repro.obs.stream.progress.ProgressReporter`) never
-    touches artifacts.
+    With ``jobs > 1`` under an enabled observability context, worker
+    registries merge into the caller's, and per-event streams are not
+    captured — worker scheduling would interleave them
+    nondeterministically.  ``progress`` (an operator-facing
+    :class:`~repro.obs.stream.progress.ProgressReporter`) never touches
+    artifacts.
 
     ``tsdb`` (a :class:`~repro.obs.tsdb.series.Tsdb`) receives per-chip
     ``fleet.*`` series ticked on the global chip index; pool workers fold
@@ -802,11 +784,6 @@ def characterize_fleet(
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     obs = get_obs()
-    if jobs > 1 and obs.enabled and obs.metrics.gauge_mode != "streaming":
-        raise ConfigurationError(
-            "jobs > 1 requires streaming metrics (exact gauge traces cannot "
-            "merge across workers); run with --metrics-mode streaming"
-        )
     if tsdb is not None and tsdb.seed != seed:
         raise ConfigurationError(
             f"tsdb is keyed on seed {tsdb.seed} but the fleet run uses "
@@ -922,7 +899,6 @@ def run_fleet_observed(
     *,
     out_dir: str | Path = "runs",
     seed: int = 2019,
-    metrics_mode: str = "exact",
     segment_events: int = 0,
     **kwargs,
 ) -> ObservedFleetRun:
@@ -934,10 +910,7 @@ def run_fleet_observed(
     event stream, manifest with metric summary and event digest — two
     runs with the same arguments produce byte-identical artifacts.
 
-    ``metrics_mode`` selects the registry's gauge mode: ``streaming``
-    keeps O(sketch) memory per gauge instead of the full sample series
-    (and is required for ``jobs > 1``).  ``segment_events > 0`` rotates
-    the event stream through a
+    ``segment_events > 0`` rotates the event stream through a
     :class:`~repro.obs.stream.rotate.RotatingJsonlSink` every that many
     events; the manifest digest covers the logical concatenation, so it
     is byte-identical to the single-file run.
@@ -955,7 +928,7 @@ def run_fleet_observed(
         )
     else:
         sink = JsonlFileSink(events_path)
-    obs = Observability(sink, metrics=MetricsRegistry(gauge_mode=metrics_mode))
+    obs = Observability(sink, metrics=MetricsRegistry())
     try:
         with observed(obs):
             report = characterize_fleet(n_chips, seed=seed, **kwargs)

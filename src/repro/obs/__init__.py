@@ -7,12 +7,15 @@ ordering comes from a monotonic event sequence ("simulated ticks"), never
 the host clock.  See OBSERVABILITY.md for the event taxonomy, sink wiring,
 and manifest schema.
 
-Layering: ``columnar`` (storage) ← ``metrics`` / ``events`` / ``sinks`` /
-``trace`` ← ``runtime`` (installable context) ← ``manifest`` /
-``selfcheck``.  The single wall-clock exemption lives in ``profiling``.
+Layering: ``metrics`` / ``events`` / ``sinks`` / ``trace`` ← ``runtime``
+(installable context) ← ``manifest`` / ``selfcheck``.  ``stream`` holds
+the mergeable aggregates, the rotating sink and the shared quantile,
+fence and ratio gate; ``tsdb``, ``alerts`` and ``analyze`` read the
+artifacts.  No ``obs`` module imports ``core``, ``fastpath``, ``atm``,
+``experiments`` or ``analysis.bench``: the layers it observes sit above
+it.  The single wall-clock exemption lives in ``profiling``.
 """
 
-from .columnar import TraceRecorder
 from .events import (
     EVENT_TYPES,
     AlertEvent,
@@ -51,7 +54,6 @@ from .sinks import (
 from .trace import Span, Tracer
 
 __all__ = [
-    "TraceRecorder",
     "ObsEvent",
     "CpmStepEvent",
     "GuardbandViolationEvent",

@@ -16,14 +16,15 @@ of telemetry is a finding, not a crash.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from ...analysis.bench import exceeds_ratio_gate
 from ...analysis.rendering import ascii_table
 from ...errors import ConfigurationError
 from ..events import AlertEvent, IncidentEvent, ObsEvent, event_to_dict
 from ..sinks import event_to_json_line
+from ..stream.gates import exceeds_ratio_gate, quantile_fence
 from ..tsdb.series import Tsdb
 from .rules import SLO_KIND, AlertRule, SloTarget
 
@@ -173,14 +174,6 @@ def _trips(value: float, bound: float, op: str) -> bool:
     return value > bound if op == "above" else value < bound
 
 
-def _nearest_rank(values, q):
-    # Local import: analyze.__init__ pulls in core.fleet, which must be
-    # importable before this module evaluates anything.
-    from ..analyze.fleet_health import nearest_rank
-
-    return nearest_rank(values, q)
-
-
 def _rule_firings(
     rule: AlertRule, windows: list[dict]
 ) -> list[_Firing]:
@@ -216,13 +209,9 @@ def _rule_firings(
                 for value in reduced
             ]
     else:  # quantile_fence
-        p10 = _nearest_rank(reduced, 0.10)
-        p50 = _nearest_rank(reduced, 0.50)
-        p90 = _nearest_rank(reduced, 0.90)
-        if rule.op == "below":
-            fence = p50 - rule.fence_k * max(p50 - p10, rule.min_delta)
-        else:
-            fence = p50 + rule.fence_k * max(p90 - p50, rule.min_delta)
+        fence = quantile_fence(
+            Counter(reduced), k=rule.fence_k, op=rule.op, floor=rule.min_delta
+        )
         bounds = [fence] * len(windows)
         fired = [_trips(value, fence, rule.op) for value in reduced]
     return [

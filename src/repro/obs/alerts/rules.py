@@ -11,10 +11,11 @@ violation → rollback, Fig. 11; fleet health under a power budget, §VII):
 ``ratio_vs_baseline``
     A reduced window value drifts past ``ratio ×`` a baseline (explicit,
     or the run's first window), through the shared
-    :func:`~repro.analysis.bench.exceeds_ratio_gate` predicate.
+    :func:`~repro.obs.stream.gates.exceeds_ratio_gate` predicate.
 ``quantile_fence``
-    A reduced window value escapes the same nearest-rank p10/p50/p90
-    fences :mod:`~repro.obs.analyze.fleet_health` draws around a fleet.
+    A reduced window value escapes the shared nearest-rank
+    :func:`~repro.obs.stream.gates.quantile_fence` over the run's windows,
+    the same fence :mod:`repro.core.fleet_health` draws around a fleet.
 ``slo_burn_rate``
     (:class:`SloTarget`) the cumulative fraction of objective-violating
     windows burns the error budget faster than ``burn_threshold``.
@@ -23,6 +24,9 @@ Every metric name is validated through the same
 :func:`~repro.lint.rules.alert_hygiene.metric_name_problems` predicate
 RL013 applies to literal definitions, so JSON packs cannot smuggle in
 unsuffixed or wall-clock metrics the linter would reject in source.
+Every numeric field must be a finite real number (not a bool, string or
+NaN): a NaN bound compares false against every value, so it would
+silently switch the rule off.
 """
 
 from __future__ import annotations
@@ -30,11 +34,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
+from numbers import Real
 from pathlib import Path
 
 from ...errors import ConfigurationError
 from ...lint.rules.alert_hygiene import metric_name_problems
-from ..analyze.fleet_health import DEFAULT_FENCE_K
+from ..stream.gates import DEFAULT_FENCE_K
 from ..tsdb.series import validate_metric_name
 
 RULE_PACK_SCHEMA = "alert_rules/v1"
@@ -70,10 +75,18 @@ def _check_name(name: str) -> str:
     return name
 
 
-def _check_finite(label: str, value: float) -> float:
-    if not math.isfinite(value):
-        raise ConfigurationError(f"{label} must be finite, got {value!r}")
-    return float(value)
+def _check_finite(owner: str, item, names: tuple[str, ...]) -> None:
+    """Reject any named field that is not a finite real number."""
+    for name in names:
+        value = getattr(item, name)
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, Real)
+            or not math.isfinite(value)
+        ):
+            raise ConfigurationError(
+                f"{owner}: {name} must be a finite number, got {value!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -113,9 +126,12 @@ class AlertRule:
             raise ConfigurationError(
                 f"rule {self.name!r}: unknown severity {self.severity!r}"
             )
-        _check_finite(f"rule {self.name!r}: threshold", self.threshold)
-        if self.baseline is not None:
-            _check_finite(f"rule {self.name!r}: baseline", self.baseline)
+        _check_finite(
+            f"rule {self.name!r}",
+            self,
+            ("threshold", "ratio", "min_delta", "fence_k")
+            + (("baseline",) if self.baseline is not None else ()),
+        )
         if self.kind == "ratio_vs_baseline" and self.ratio <= 1.0:
             raise ConfigurationError(
                 f"rule {self.name!r}: ratio must be > 1, got {self.ratio}"
@@ -194,7 +210,9 @@ class SloTarget:
             raise ConfigurationError(
                 f"slo {self.name!r}: unknown severity {self.severity!r}"
             )
-        _check_finite(f"slo {self.name!r}: threshold", self.threshold)
+        _check_finite(
+            f"slo {self.name!r}", self, ("threshold", "objective", "burn_threshold")
+        )
         if not 0.0 < self.objective <= 1.0:
             raise ConfigurationError(
                 f"slo {self.name!r}: objective must be in (0, 1], "

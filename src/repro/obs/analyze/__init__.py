@@ -17,12 +17,10 @@ aggregates) and never touches simulation state:
     Per-metric time series folded from registered manifests and
     ``BENCH_solver.json``-style wall artifacts, with the same
     ratio-plus-noise-floor regression gate as ``repro bench --compare``.
-``fleet_health``
-    Outlier-chip triage over per-chip characterization limits using
-    nearest-rank quantile fences (the Fig. 7 distributions, read as a
-    fleet health surface).
 ``report``
-    Deterministic markdown/JSON digests over all of the above.
+    Deterministic markdown/JSON digests over all of the above, plus an
+    optional fleet-health document (:mod:`repro.core.fleet_health`
+    computes it: it runs a characterization, so it is not read-side).
 
 Like the write side, every output here is byte-identical across
 same-seed invocations: no wall clock, no hostnames, no absolute paths.
@@ -37,7 +35,6 @@ from .diff import (
     diff_manifests,
     diff_streams,
 )
-from .fleet_health import ChipHealth, FleetHealthReport, assess_fleet
 from .history import (
     MetricSeries,
     RegressionFlag,
@@ -61,9 +58,6 @@ __all__ = [
     "diff_documents",
     "diff_manifests",
     "diff_streams",
-    "ChipHealth",
-    "FleetHealthReport",
-    "assess_fleet",
     "MetricSeries",
     "RegressionFlag",
     "SeriesPoint",

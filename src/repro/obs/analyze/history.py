@@ -5,7 +5,7 @@ a :class:`~repro.obs.analyze.store.RunStore` into per-metric series (one
 point per run, in run-id order), plus ``BENCH_solver.json``-style wall
 artifacts into wall-clock series.  Regression flagging reuses the exact
 ratio-plus-noise-floor gate of ``repro bench --compare``
-(:func:`repro.analysis.bench.exceeds_ratio_gate`): a metric is flagged
+(:func:`repro.obs.stream.gates.exceeds_ratio_gate`): a metric is flagged
 when its latest point exceeds its first by more than the threshold ratio
 *and* the absolute floor.
 
@@ -22,9 +22,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
-from ...analysis.bench import MIN_REGRESSION_S, exceeds_ratio_gate
 from ...analysis.rendering import ascii_table
 from ...errors import ConfigurationError
+from ..stream.gates import MIN_REGRESSION_S, exceeds_ratio_gate
 from .store import RunStore
 
 
@@ -188,6 +188,34 @@ def bench_wall_series(paths: Sequence[str | Path]) -> tuple[MetricSeries, ...]:
     )
 
 
+def _flag(
+    series: Sequence[MetricSeries],
+    direction: str,
+    threshold: float,
+    min_delta: float,
+    wall_min_delta: float,
+) -> tuple[RegressionFlag, ...]:
+    flags = []
+    for one in series:
+        if len(one.points) < 2:
+            continue
+        floor = wall_min_delta if one.kind == "wall" else min_delta
+        fresh, base = one.latest, one.first
+        if direction == "improvement":
+            fresh, base = base, fresh
+        if exceeds_ratio_gate(fresh, base, threshold=threshold, min_delta=floor):
+            flags.append(
+                RegressionFlag(
+                    name=one.name,
+                    kind=one.kind,
+                    baseline=one.first,
+                    latest=one.latest,
+                    direction=direction,
+                )
+            )
+    return tuple(flags)
+
+
 def flag_regressions(
     series: Sequence[MetricSeries],
     *,
@@ -203,23 +231,7 @@ def flag_regressions(
     (default 0 — counters are exact, there is no scheduling noise to
     forgive).
     """
-    flags = []
-    for one in series:
-        if len(one.points) < 2:
-            continue
-        floor = wall_min_delta if one.kind == "wall" else min_delta
-        if exceeds_ratio_gate(
-            one.latest, one.first, threshold=threshold, min_delta=floor
-        ):
-            flags.append(
-                RegressionFlag(
-                    name=one.name,
-                    kind=one.kind,
-                    baseline=one.first,
-                    latest=one.latest,
-                )
-            )
-    return tuple(flags)
+    return _flag(series, "regression", threshold, min_delta, wall_min_delta)
 
 
 def flag_improvements(
@@ -237,24 +249,7 @@ def flag_improvements(
     Surfacing wins keeps ``repro obs history`` honest in both directions:
     a bench that got 3x faster shows up next to one that got 3x slower.
     """
-    flags = []
-    for one in series:
-        if len(one.points) < 2:
-            continue
-        floor = wall_min_delta if one.kind == "wall" else min_delta
-        if exceeds_ratio_gate(
-            one.first, one.latest, threshold=threshold, min_delta=floor
-        ):
-            flags.append(
-                RegressionFlag(
-                    name=one.name,
-                    kind=one.kind,
-                    baseline=one.first,
-                    latest=one.latest,
-                    direction="improvement",
-                )
-            )
-    return tuple(flags)
+    return _flag(series, "improvement", threshold, min_delta, wall_min_delta)
 
 
 def span_wall_stats(documents: Sequence[dict]) -> dict:

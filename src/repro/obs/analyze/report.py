@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ...errors import ConfigurationError
-from .fleet_health import FleetHealthReport
 from .history import (
     MetricSeries,
     RegressionFlag,
@@ -47,10 +46,15 @@ def build_report(
     *,
     threshold: float = 2.0,
     bench_paths: Sequence[str | Path] = (),
-    fleet_health: FleetHealthReport | None = None,
+    fleet_health: dict | None = None,
     metrics: Sequence[str] | None = None,
 ) -> ObsReport:
-    """Assemble the digest document over every registered run."""
+    """Assemble the digest document over every registered run.
+
+    ``fleet_health`` is a fleet-health document
+    (:meth:`repro.core.fleet_health.FleetHealthReport.to_dict`), embedded
+    as given.
+    """
     if threshold <= 0.0:
         raise ConfigurationError(f"threshold must be > 0, got {threshold}")
     records = store.records()
@@ -111,7 +115,7 @@ def build_report(
         "spans": spans,
     }
     if fleet_health is not None:
-        document["fleet_health"] = fleet_health.to_dict()
+        document["fleet_health"] = fleet_health
     return ObsReport(
         document=document,
         series=tuple(series),

@@ -21,8 +21,10 @@ from ..errors import ConfigurationError
 
 #: Manifest schema version (bump on incompatible shape changes).  Schema 2
 #: drops the execution-scoped ``fastpath.cache.*`` counters from
-#: ``metrics_summary``; schema-1 manifests still load.
-MANIFEST_SCHEMA = 2
+#: ``metrics_summary``; schema 3 summarizes every gauge from its quantile
+#: sketch (``"mode": "streaming"``), where exact-mode gauges used to carry
+#: numpy percentiles.  Schema-1 and schema-2 manifests still load.
+MANIFEST_SCHEMA = 3
 
 
 def sha256_hex(data: bytes) -> str:

@@ -3,28 +3,21 @@
 A :class:`MetricsRegistry` is a flat namespace of named instruments.  All
 three instrument types are cheap enough to leave permanently enabled: a
 counter increment is one integer add, a histogram observation is one
-binary search plus two adds, and a gauge observation is one columnar
-append (exact mode) or one sketch insert (streaming mode).
+binary search plus two adds, and a gauge observation is one sketch
+insert.
 
-Gauges come in two modes, chosen per registry:
+Gauges keep bounded memory: samples fold into a deterministic
+:class:`~repro.obs.stream.sketch.QuantileSketch`, so gauge summaries are
+estimates within the sketch's documented relative error bound, and each
+summary entry carries ``"mode": "streaming"`` so readers know.
 
-* ``exact`` (default) — full sample history in a
-  :class:`~repro.obs.columnar.TraceRecorder`; summaries are numpy
-  percentiles over every sample.  Memory grows with sample count.
-* ``streaming`` — bounded memory: samples fold into a deterministic
-  :class:`~repro.obs.stream.sketch.QuantileSketch`; summaries are
-  estimates within the sketch's documented relative error bound, and the
-  summary dict carries ``"mode": "streaming"`` so readers know.
-
-Counters and histograms are exact and **mergeable** in both modes;
-streaming gauges merge too.  :meth:`MetricsRegistry.merge` (and its
-state-dict form for process pools) is order-invariant: every component
-is a commutative, associative fold over the observation multiset —
-integer adds, error-free sums, min/max, and the partition-invariant
-sketch — so partial registries from chunked or pooled runs fold into
-byte-identical summaries regardless of chunk size or scheduling.  Exact
-gauges are the one non-mergeable instrument (a trace is a sequence, not
-a multiset); merging a registry that holds exact gauge samples raises.
+Every instrument is **mergeable**.  :meth:`MetricsRegistry.merge` (and
+its state-dict form for process pools) is order-invariant: every
+component is a commutative, associative fold over the observation
+multiset — integer adds, error-free sums, min/max, and the
+partition-invariant sketch — so partial registries from chunked or
+pooled runs fold into byte-identical summaries regardless of chunk size
+or scheduling.
 
 Nothing here reads the host clock; gauge samples are keyed on whatever
 simulated tick the caller supplies (defaulting to the sample index), so a
@@ -38,7 +31,6 @@ from collections.abc import Sequence
 
 from ..analysis.rendering import ascii_table
 from ..errors import ConfigurationError
-from .columnar import TraceRecorder
 from .stream.histogram import MergeableHistogram
 from .stream.sketch import QuantileSketch
 
@@ -46,14 +38,11 @@ from .stream.sketch import QuantileSketch
 #: iteration counts and millisecond-scale quantities without tuning.
 DEFAULT_BUCKETS = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0)
 
-#: Registry gauge modes (see the module docstring).
-GAUGE_MODES = ("exact", "streaming")
-
 
 def identity_tick(identity: str) -> float:
     """Partition-invariant gauge tick derived from a stable identity.
 
-    Streaming gauges define ``last`` as the max ``(tick, value)`` pair, so
+    Gauges define ``last`` as the max ``(tick, value)`` pair, so
     a merged ``last`` is only a pure function of the sample multiset when
     ticks are themselves partition-invariant.  Call sites with no natural
     global index (e.g. per-chip solves that may run in any pool worker)
@@ -96,61 +85,27 @@ class Counter:
 
 
 class Gauge:
-    """A sampled value: full columnar history or a bounded-memory sketch."""
+    """A sampled value, folded into a bounded-memory quantile sketch."""
 
-    def __init__(self, name: str, mode: str = "exact"):
-        if mode not in GAUGE_MODES:
-            raise ConfigurationError(
-                f"{name}: unknown gauge mode {mode!r} "
-                f"(choose from {', '.join(GAUGE_MODES)})"
-            )
+    def __init__(self, name: str):
         self.name = name
-        self.mode = mode
-        self._trace: TraceRecorder | None = None
-        self._sketch: QuantileSketch | None = None
-        # Streaming mode keeps "last" as the max (tick, value) pair — a
-        # pure function of the sample multiset, so merges stay invariant.
+        self._sketch = QuantileSketch()
+        # "last" is the max (tick, value) pair — a pure function of the
+        # sample multiset, so merges stay invariant.
         self._last: tuple[float, float] | None = None
-        if mode == "exact":
-            self._trace = TraceRecorder(("tick", "value"))
-        else:
-            self._sketch = QuantileSketch()
 
     @property
     def sample_count(self) -> int:
-        if self._trace is not None:
-            return len(self._trace)
-        assert self._sketch is not None
         return self._sketch.count
 
     @property
-    def trace(self) -> TraceRecorder:
-        """The columnar sample history (exact mode only)."""
-        if self._trace is None:
-            raise ConfigurationError(
-                f"{self.name}: streaming gauges keep no sample history"
-            )
-        return self._trace
-
-    @property
     def sketch(self) -> QuantileSketch:
-        """The quantile sketch (streaming mode only)."""
-        if self._sketch is None:
-            raise ConfigurationError(
-                f"{self.name}: exact gauges have no sketch; use .trace"
-            )
+        """The quantile sketch every sample folds into."""
         return self._sketch
 
     def set(self, value: float, tick: float | None = None) -> None:
         """Record one sample at simulated ``tick`` (default: sample index)."""
         value = float(value)
-        if self._trace is not None:
-            self._trace.record(
-                tick=float(len(self._trace)) if tick is None else float(tick),
-                value=value,
-            )
-            return
-        assert self._sketch is not None
         tick = float(self._sketch.count) if tick is None else float(tick)
         self._sketch.add(value)
         key = (tick, value)
@@ -159,16 +114,11 @@ class Gauge:
 
     @property
     def last(self) -> float:
-        """Most recent sample; raises on an empty gauge.
+        """The sample with the largest tick (value as tiebreak).
 
-        Streaming mode defines "most recent" as the sample with the
-        largest tick (value as tiebreak) — identical to emission order
-        when ticks are monotonic, and merge-order-invariant always.
+        Identical to emission order when ticks are monotonic, and
+        merge-order-invariant always.  Raises on an empty gauge.
         """
-        if self._trace is not None:
-            if len(self._trace) == 0:
-                raise ConfigurationError(f"{self.name}: gauge has no samples")
-            return float(self._trace.column("value")[-1])
         if self._last is None:
             raise ConfigurationError(f"{self.name}: gauge has no samples")
         return self._last[1]
@@ -176,72 +126,32 @@ class Gauge:
     def summary(self) -> dict[str, float]:
         """min/max/mean/p50/p95/p99 of every sample.
 
-        Exact mode: numpy percentiles over the full history.  Streaming
-        mode: sketch estimates within
-        :attr:`~repro.obs.stream.sketch.QuantileSketch.quantile_error_bound`.
+        min, max and mean are exact; the quantiles are sketch estimates
+        within :attr:`~repro.obs.stream.sketch.QuantileSketch.quantile_error_bound`.
         """
-        if self._trace is not None:
-            return self._trace.summary("value")
-        assert self._sketch is not None
         return self._sketch.summary()
 
     def merge(self, other: Gauge) -> None:
-        """Fold another gauge in (streaming mode only)."""
-        if self.mode != other.mode:
-            raise ConfigurationError(
-                f"{self.name}: cannot merge {other.mode} gauge into "
-                f"{self.mode} gauge"
-            )
-        if self._trace is not None:
-            raise ConfigurationError(
-                f"{self.name}: exact gauges are not mergeable (a trace is "
-                f"a sequence, not a multiset); use streaming mode"
-            )
-        assert self._sketch is not None and other._sketch is not None
+        """Fold another gauge in (order-invariant)."""
         self._sketch.merge(other._sketch)
         if other._last is not None and (
             self._last is None or other._last > self._last
         ):
             self._last = other._last
 
-    @property
-    def memory_nbytes(self) -> int:
-        """Approximate bytes held for samples (the bench's O(1) witness)."""
-        if self._trace is not None:
-            return self._trace.nbytes
-        assert self._sketch is not None
-        return self._sketch.memory_nbytes
-
     def to_state(self) -> dict:
-        if self._trace is not None:
-            return {
-                "kind": "gauge",
-                "mode": "exact",
-                "samples": [
-                    [float(t), float(v)]
-                    for t, v in zip(
-                        self._trace.column("tick"), self._trace.column("value")
-                    )
-                ],
-            }
-        assert self._sketch is not None
         return {
             "kind": "gauge",
-            "mode": "streaming",
             "sketch": self._sketch.to_state(),
             "last": list(self._last) if self._last is not None else None,
         }
 
     @classmethod
     def from_state(cls, name: str, state: dict) -> Gauge:
-        out = cls(name, mode=str(state["mode"]))
-        if out.mode == "exact":
-            for tick, value in state["samples"]:
-                out.set(float(value), tick=float(tick))
-        else:
-            out._sketch = QuantileSketch.from_state(state["sketch"])
-            last = state.get("last")
-            out._last = (float(last[0]), float(last[1])) if last else None
+        out = cls(name)
+        out._sketch = QuantileSketch.from_state(state["sketch"])
+        last = state.get("last")
+        out._last = (float(last[0]), float(last[1])) if last else None
         return out
 
 
@@ -325,8 +235,9 @@ class Histogram:
         return out
 
 
-#: Registry state-dict schema (the shape pool workers ship home).
-REGISTRY_STATE_SCHEMA = 1
+#: Registry state-dict schema (the shape pool workers ship home).  Schema
+#: 2 drops the gauge-mode keys: every gauge is a sketch.
+REGISTRY_STATE_SCHEMA = 2
 
 #: Instrument-name prefixes that describe the *execution environment*
 #: (what happened to be cached in this process or on this machine) rather
@@ -348,22 +259,10 @@ class MetricsRegistry:
 
     Instruments are get-or-create by name; asking for an existing name
     with a different instrument type is an error (one name, one meaning).
-    ``gauge_mode`` selects exact (full-history) or streaming
-    (bounded-memory, mergeable) gauges for every gauge in this registry.
     """
 
-    def __init__(self, gauge_mode: str = "exact"):
-        if gauge_mode not in GAUGE_MODES:
-            raise ConfigurationError(
-                f"unknown gauge mode {gauge_mode!r} "
-                f"(choose from {', '.join(GAUGE_MODES)})"
-            )
-        self._gauge_mode = gauge_mode
+    def __init__(self):
         self._instruments: dict[str, Counter | Gauge | Histogram] = {}
-
-    @property
-    def gauge_mode(self) -> str:
-        return self._gauge_mode
 
     def _get_or_create(self, name: str, factory, kind: type):
         if not name:
@@ -393,9 +292,7 @@ class MetricsRegistry:
         instrument = self._instruments.get(name)
         if type(instrument) is Gauge:
             return instrument
-        return self._get_or_create(
-            name, lambda: Gauge(name, mode=self._gauge_mode), Gauge
-        )
+        return self._get_or_create(name, lambda: Gauge(name), Gauge)
 
     def histogram(
         self, name: str, buckets: Sequence[float] = DEFAULT_BUCKETS
@@ -417,17 +314,10 @@ class MetricsRegistry:
 
         Order-invariant by construction: counters are integer adds,
         histograms are integer bucket adds plus error-free sums, and
-        streaming gauges merge partition-invariant sketches, so any
-        sequence of merges over any partitioning of the observations
-        produces the same summary bytes.  Registries holding exact gauge
-        samples refuse to merge (full traces are sequences, and
-        concatenation order would leak scheduling into the result).
+        gauges merge partition-invariant sketches, so any sequence of
+        merges over any partitioning of the observations produces the
+        same summary bytes.
         """
-        if self._gauge_mode != other._gauge_mode:
-            raise ConfigurationError(
-                f"cannot merge a {other._gauge_mode}-gauge registry into "
-                f"a {self._gauge_mode}-gauge registry"
-            )
         for name in sorted(other._instruments):
             theirs = other._instruments[name]
             mine = self._instruments.get(name)
@@ -449,7 +339,6 @@ class MetricsRegistry:
         """JSON-native mergeable state (what pool workers return)."""
         return {
             "schema": REGISTRY_STATE_SCHEMA,
-            "gauge_mode": self._gauge_mode,
             "instruments": {
                 name: self._instruments[name].to_state() for name in self.names()
             },
@@ -462,7 +351,7 @@ class MetricsRegistry:
             raise ConfigurationError(
                 f"unsupported registry state schema {schema!r}"
             )
-        out = cls(gauge_mode=str(state["gauge_mode"]))
+        out = cls()
         for name, instrument_state in state["instruments"].items():
             kind = str(instrument_state.get("kind"))
             factory = _INSTRUMENT_KINDS.get(kind)
@@ -491,9 +380,11 @@ class MetricsRegistry:
             if isinstance(instrument, Counter):
                 summary[name] = {"kind": "counter", "value": instrument.value}
             elif isinstance(instrument, Gauge):
-                entry: dict = {"kind": "gauge", "samples": instrument.sample_count}
-                if instrument.mode == "streaming":
-                    entry["mode"] = "streaming"
+                entry: dict = {
+                    "kind": "gauge",
+                    "samples": instrument.sample_count,
+                    "mode": "streaming",
+                }
                 if instrument.sample_count:
                     entry.update(instrument.summary())
                 summary[name] = entry

@@ -11,6 +11,9 @@ growing memory with sample count or event count:
   memory, same inputs ⇒ same sketch bytes);
 * :mod:`~repro.obs.stream.histogram` — :class:`MergeableHistogram`,
   exact fixed-bucket histograms with order-invariant merge;
+* :mod:`~repro.obs.stream.gates` — the one nearest-rank quantile,
+  quantile fence and ratio-plus-floor regression gate that fleet
+  reports, fleet health, alert rules and bench comparisons share;
 * :mod:`~repro.obs.stream.window` — :class:`WindowedAggregator`,
   per-tick-window stats keyed on obs ticks;
 * :mod:`~repro.obs.stream.rotate` — :class:`RotatingJsonlSink` and the

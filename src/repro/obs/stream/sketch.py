@@ -40,7 +40,6 @@ fires, doubling-ish per compaction level).
 from __future__ import annotations
 
 import math
-import sys
 
 from ...errors import ConfigurationError
 from .exact import MergeableStat
@@ -82,9 +81,12 @@ class QuantileSketch:
             raise ConfigurationError(
                 f"relative_accuracy must be in (0, 1), got {relative_accuracy}"
             )
-        if max_buckets < 2:
+        # However far compaction coarsens, magnitudes on both sides of 1
+        # keep two buckets per sign (indices -1 and 0), so a cap below 4
+        # could never be met and compaction would loop forever.
+        if max_buckets < 4:
             raise ConfigurationError(
-                f"max_buckets must be >= 2, got {max_buckets}"
+                f"max_buckets must be >= 4, got {max_buckets}"
             )
         if min_magnitude <= 0.0:
             raise ConfigurationError(
@@ -132,21 +134,6 @@ class QuantileSketch:
     def bucket_count(self) -> int:
         """Live buckets (positive + negative stores; zero is one counter)."""
         return len(self._pos) + len(self._neg)
-
-    @property
-    def memory_nbytes(self) -> int:
-        """Approximate bytes held by the sketch state.
-
-        Bounded by ``max_buckets`` regardless of sample count — the
-        witness the gauge-memory bench records.
-        """
-        return (
-            sys.getsizeof(self._pos)
-            + sys.getsizeof(self._neg)
-            + sum(sys.getsizeof(k) + sys.getsizeof(v) for k, v in self._pos.items())
-            + sum(sys.getsizeof(k) + sys.getsizeof(v) for k, v in self._neg.items())
-            + sys.getsizeof(self._stat._sum._partials)
-        )
 
     @property
     def min(self) -> float:
@@ -201,18 +188,12 @@ class QuantileSketch:
     def _compact(self) -> None:
         """Halve resolution until the live-bucket cap is respected."""
         while self.bucket_count > self._max_buckets:
-            self._level += 1
-            for name in ("_pos", "_neg"):
-                old: dict[int, int] = getattr(self, name)
-                new: dict[int, int] = {}
-                for key, count in old.items():
-                    coarse = key >> 1
-                    new[coarse] = new.get(coarse, 0) + count
-                setattr(self, name, new)
+            self._coarsen_to(self._level + 1)
 
     # -- merging --------------------------------------------------------
 
     def _coarsen_to(self, level: int) -> None:
+        """Halve resolution (``i → i >> 1`` per level) up to ``level``."""
         while self._level < level:
             self._level += 1
             for name in ("_pos", "_neg"):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from ..analyze.history import headline_value
 from ..sinks import read_jsonl_documents
 from .series import Tsdb
 
@@ -35,8 +36,6 @@ EVENT_VALUE_METRICS = {
 
 def capture_summary(tsdb: Tsdb, metrics_summary: dict) -> int:
     """Fold a manifest's metrics summary in (one headline sample each)."""
-    from ..analyze.history import headline_value
-
     recorded = 0
     for name in sorted(metrics_summary):
         value = headline_value(metrics_summary[name])

@@ -11,12 +11,12 @@ from repro.core.fleet import (
     DEFAULT_CHUNK_SIZE,
     characterize_fleet,
     collect_chip_stats,
-    quantile_from_counts,
     run_fleet_observed,
 )
 from repro.errors import ConfigurationError
 from repro.obs.runtime import Observability, observed
 from repro.obs.sinks import RingBufferSink
+from repro.obs.stream.gates import quantile_from_counts
 
 
 class TestQuantileFromCounts:
@@ -206,8 +206,10 @@ class TestRunFleetObserved:
         )
         assert first.event_count > 0
         # Schema 2: memo traffic is execution-scoped, physics counters stay.
+        # Schema 3: every gauge is summarized from its sketch.
         manifest = json.loads(first.manifest_path.read_text())
-        assert manifest["schema"] == 2
+        assert manifest["schema"] == 3
         summary = manifest["metrics_summary"]
         assert "chip.solves" in summary
+        assert summary["fleet.tuned_slowest_mhz"]["mode"] == "streaming"
         assert not [name for name in summary if name.startswith("fastpath.cache.")]

@@ -153,14 +153,10 @@ class TestObservedRunIdentity:
     def test_jobs_with_store_match_jobs_without(self, tmp_path):
         configure_store(tmp_path / "store")
         _fleet()  # warm the store
-        with_store = _observed(
-            tmp_path / "with", metrics_mode="streaming", jobs=2
-        )
+        with_store = _observed(tmp_path / "with", jobs=2)
         store_stats = get_store().stats()
         reset_store()
-        without = _observed(
-            tmp_path / "without", metrics_mode="streaming", jobs=2
-        )
+        without = _observed(tmp_path / "without", jobs=2)
         assert with_store == without
         # Worker deltas came home: the pool run's reads are accounted.
         assert store_stats["hits"] > 0
@@ -169,7 +165,7 @@ class TestObservedRunIdentity:
         configure_store(tmp_path / "store")
         _fleet()
         before = get_store().stats()
-        _observed(tmp_path / "run", metrics_mode="streaming", jobs=2)
+        _observed(tmp_path / "run", jobs=2)
         after = get_store().stats()
         assert after["misses"] == before["misses"]
         assert after["compiled_hits"] - before["compiled_hits"] == CHIPS

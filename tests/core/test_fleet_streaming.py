@@ -1,8 +1,8 @@
 """Golden test: fleet characterization is chunking- and pool-invariant.
 
-The streaming layer's headline contract: with streaming gauges, the
-fleet report, the metric summary, *and* the raw merged registry state
-are byte-identical across every ``chunk_size`` × ``jobs`` combination —
+The streaming layer's headline contract: the fleet report, the metric
+summary, *and* the raw merged registry state are byte-identical across
+every ``chunk_size`` × ``jobs`` combination —
 partial registries from chunks and pool workers fold into the same
 rollup a serial run produces.  The matrix below is the acceptance matrix
 from the issue (chunk 16/64/256, jobs 1/4) plus a deliberately awkward
@@ -16,7 +16,6 @@ import json
 import pytest
 
 from repro.core.fleet import characterize_fleet
-from repro.errors import ConfigurationError
 from repro.fastpath.cache import SolveCache, get_solve_cache, reset_solve_cache
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import Observability, observed
@@ -28,9 +27,7 @@ N_CHIPS = 40
 
 def _run(chunk_size, jobs, n_chips=N_CHIPS, **kwargs):
     reset_solve_cache()
-    obs = Observability(
-        NullSink(), metrics=MetricsRegistry(gauge_mode="streaming")
-    )
+    obs = Observability(NullSink(), metrics=MetricsRegistry())
     with observed(obs):
         report = characterize_fleet(
             n_chips, seed=SEED, chunk_size=chunk_size, jobs=jobs, **kwargs
@@ -73,12 +70,14 @@ class TestChunkAndPoolInvariance:
 
 
 class TestPoolGuards:
-    def test_pooled_exact_gauges_rejected(self):
-        """Exact gauges are unmergeable, so jobs > 1 must refuse them."""
-        reset_solve_cache()
-        obs = Observability(NullSink(), metrics=MetricsRegistry())
-        with observed(obs), pytest.raises(ConfigurationError):
-            characterize_fleet(8, seed=SEED, chunk_size=4, jobs=2)
+    def test_pooled_default_registry_matches_serial(self):
+        """Every gauge merges, so a pooled run under the default registry
+        reaches the serial run's summary (gauges included)."""
+        serial = _run(4, 1, n_chips=8)
+        pooled = _run(4, 2, n_chips=8)
+        assert pooled[0] == serial[0], "report diverged"
+        assert pooled[1] == serial[1], "summary diverged"
+        assert '"fleet.tuned_slowest_mhz"' in pooled[1]
 
     def test_pooled_run_without_obs_matches_serial(self):
         reset_solve_cache()

@@ -60,6 +60,15 @@ class TestAlertRuleValidation:
             {"min_delta": -1.0},
             {"fence_k": 0.0},
             {"threshold": float("nan")},
+            # A NaN or infinite bound compares false against every value
+            # and silently switches the rule off; a string or bool is no
+            # number at all.
+            {"kind": "quantile_fence", "fence_k": float("nan")},
+            {"kind": "quantile_fence", "fence_k": float("inf")},
+            {"min_delta": float("nan")},
+            {"kind": "ratio_vs_baseline", "ratio": float("nan")},
+            {"threshold": "4500"},
+            {"threshold": True},
         ],
     )
     def test_invalid_fields_rejected(self, kwargs):
@@ -104,7 +113,15 @@ class TestSloValidation:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"objective": 0.0}, {"objective": 1.5}, {"burn_threshold": 0.0}],
+        [
+            {"objective": 0.0},
+            {"objective": 1.5},
+            {"burn_threshold": 0.0},
+            {"burn_threshold": float("nan")},
+            {"burn_threshold": float("inf")},
+            {"threshold": True},
+            {"threshold": "1.0"},
+        ],
     )
     def test_invalid_fields_rejected(self, kwargs):
         base = dict(

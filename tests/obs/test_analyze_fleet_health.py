@@ -1,14 +1,23 @@
-"""Tests for fleet health triage (quantile fences over chip stats)."""
+"""Tests for fleet health triage (quantile fences over chip stats).
+
+Fleet health moved to :mod:`repro.core.fleet_health`, and its sample
+quantile is the shared nearest-rank histogram quantile over a
+``Counter``; the tests keep this module so their ids stay stable.
+"""
+
+from collections import Counter
 
 import pytest
 
 from repro.core.fleet import ChipStats
+from repro.core.fleet_health import assess_fleet, assess_from_stats
 from repro.errors import ConfigurationError
-from repro.obs.analyze.fleet_health import (
-    assess_fleet,
-    assess_from_stats,
-    nearest_rank,
-)
+from repro.obs.stream.gates import quantile_from_counts
+
+
+def nearest_rank(values, q):
+    """A sample's nearest-rank quantile: the histogram form over a Counter."""
+    return quantile_from_counts(Counter(values), q)
 
 SEED = 2019
 
@@ -77,9 +86,14 @@ class TestAssessFromStats:
         with pytest.raises(ConfigurationError):
             assess_from_stats([], seed=SEED, trials=4)
 
-    def test_non_positive_fence_rejected(self):
-        with pytest.raises(ConfigurationError):
-            assess_from_stats([_chip("F0", 5)], seed=SEED, trials=4, fence_k=0.0)
+    @pytest.mark.parametrize(
+        "fence_k", [0.0, -1.0, float("nan"), float("inf")]
+    )
+    def test_non_positive_fence_rejected(self, fence_k):
+        with pytest.raises(ConfigurationError, match="fence k"):
+            assess_from_stats(
+                [_chip("F0", 5)], seed=SEED, trials=4, fence_k=fence_k
+            )
 
     def test_to_dict_is_json_native_and_labeled(self):
         report = assess_from_stats(

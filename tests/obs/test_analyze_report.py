@@ -2,8 +2,8 @@
 
 import json
 
+from repro.core.fleet_health import assess_fleet
 from repro.experiments.common import run_observed
-from repro.obs.analyze.fleet_health import assess_fleet
 from repro.obs.analyze.report import (
     build_report,
     render_json,
@@ -37,9 +37,9 @@ class TestBuildReport:
         store = _store_with_runs(tmp_path)
         without = build_report(store)
         assert "fleet_health" not in without.document
-        health = assess_fleet(3, seed=SEED, trials=2, n_cores=2)
+        health = assess_fleet(3, seed=SEED, trials=2, n_cores=2).to_dict()
         with_section = build_report(store, fleet_health=health)
-        assert with_section.document["fleet_health"]["kind"] == "fleet_health"
+        assert with_section.document["fleet_health"] == health
 
     def test_same_inputs_render_byte_identical(self, tmp_path):
         store = _store_with_runs(tmp_path, seeds=(SEED, 7))

@@ -30,26 +30,41 @@ class TestGauge:
         gauge = Gauge("g")
         gauge.set(10.0)
         gauge.set(20.0)
-        assert list(gauge.trace.column("tick")) == [0.0, 1.0]
         assert gauge.last == 20.0
+        # Ticks 0 and 1 so far: an explicit 1.5 is newer, and the next
+        # default tick (3 samples in, so 3.0) is newer again.
+        gauge.set(7.0, tick=1.5)
+        assert gauge.last == 7.0
+        gauge.set(3.0)
+        assert gauge.last == 3.0
 
     def test_explicit_tick(self):
         gauge = Gauge("g")
         gauge.set(1.5, tick=100.0)
-        assert list(gauge.trace.column("tick")) == [100.0]
+        gauge.set(9.0)  # default tick 1.0 is older than 100.0
+        assert gauge.last == 1.5
+        assert gauge.sample_count == 2
 
     def test_summary_has_percentiles(self):
         gauge = Gauge("g")
         for value in range(1, 101):
             gauge.set(float(value))
         summary = gauge.summary()
-        assert summary["p50"] == pytest.approx(50.5)
-        assert summary["p95"] == pytest.approx(95.05)
-        assert summary["p99"] == pytest.approx(99.01)
+        assert summary["min"] == 1.0
+        assert summary["max"] == 100.0
+        assert summary["mean"] == pytest.approx(50.5)
+        bound = gauge.sketch.quantile_error_bound
+        # Nearest-rank truths over 1..100.
+        for key, truth in (("p50", 50.0), ("p95", 95.0), ("p99", 99.0)):
+            assert abs(summary[key] - truth) <= bound * truth
 
     def test_last_of_empty_rejected(self):
         with pytest.raises(ConfigurationError):
             Gauge("g").last
+
+    def test_non_finite_sample_rejected(self):
+        with pytest.raises(ConfigurationError):
+            Gauge("g").set(float("nan"))
 
 
 class TestHistogram:
@@ -142,6 +157,7 @@ class TestMetricsRegistry:
         assert summary["hits"] == {"kind": "counter", "value": 3}
         assert summary["power_w"]["kind"] == "gauge"
         assert summary["power_w"]["samples"] == 1
+        assert summary["power_w"]["mode"] == "streaming"
         assert summary["iters"]["kind"] == "histogram"
         assert summary["iters"]["count"] == 1
         assert "p99" in summary["iters"]

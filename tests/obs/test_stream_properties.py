@@ -114,6 +114,15 @@ class TestSketchMerge:
             assert abs(estimate - truth) <= bound * abs(truth) + 1.0e-12
 
 
+class TestSketchConfig:
+    @pytest.mark.parametrize("max_buckets", [2, 3])
+    def test_unreachable_bucket_cap_rejected(self, max_buckets):
+        # Values at ±0.5 and ±2 keep four buckets at every level, so a
+        # smaller cap would make compaction loop forever.
+        with pytest.raises(ConfigurationError, match="max_buckets"):
+            QuantileSketch(max_buckets=max_buckets)
+
+
 class TestExactMerge:
     @settings(max_examples=60, deadline=None)
     @given(parts=PARTITIONS)
@@ -214,13 +223,13 @@ class TestStreamingGauge:
     @settings(max_examples=40, deadline=None)
     @given(values=st.lists(VALUES, min_size=1, max_size=200))
     def test_streaming_summary_within_bound_of_exact(self, values):
-        """Satellite: streaming gauges stay within the documented bound.
+        """Gauge summaries stay within the sketch's documented bound.
 
         The exact reference is the nearest-rank quantile over the raw
         samples — the same rank convention the sketch uses — so the
         comparison isolates bucketing error from rank-convention skew.
         """
-        registry = MetricsRegistry(gauge_mode="streaming")
+        registry = MetricsRegistry()
         gauge = registry.gauge("g")
         for tick, value in enumerate(values):
             gauge.set(value, tick=float(tick))
@@ -252,7 +261,7 @@ class TestRegistryMerge:
                 # Explicit global tick: partition-invariant "last".
                 registry.gauge("g").set(value, tick=float(base + offset))
 
-        direct = MetricsRegistry(gauge_mode="streaming")
+        direct = MetricsRegistry()
         offsets = []
         base = 0
         for part in parts:
@@ -261,11 +270,11 @@ class TestRegistryMerge:
             base += len(part)
         states = []
         for part, offset in zip(parts, offsets):
-            partial = MetricsRegistry(gauge_mode="streaming")
+            partial = MetricsRegistry()
             fill(partial, part, offset)
             states.append(partial.to_state())
         for ordering in (states, list(reversed(states))):
-            merged = MetricsRegistry(gauge_mode="streaming")
+            merged = MetricsRegistry()
             for state in ordering:
                 merged.merge_state(state)
             assert json.dumps(merged.to_state(), sort_keys=True) == json.dumps(

@@ -255,6 +255,16 @@ class TestAnalyzeCli:
         assert document["kind"] == "fleet_health"
         assert len(document["chips"]) == 2
 
+    def test_fleet_health_non_finite_fence_fails_cleanly(self, capsys):
+        # A NaN fence compares false against every chip: before this was
+        # rejected, the run printed "outliers: none" and exited 0.
+        code = main(
+            ["fleet", "health", "--chips", "2",
+             "--trials", "1", "--cores", "2", "--fence-k", "nan"]
+        )
+        assert code == 1
+        assert "error: fence k must be finite and > 0" in capsys.readouterr().err
+
 
 class TestFleetCli:
     def test_characterize_renders_summary(self, capsys):
@@ -266,6 +276,15 @@ class TestFleetCli:
         out = capsys.readouterr().out
         assert "fleet characterization: 2 chips x 2 cores" in out
         assert "rollback rate:" in out
+
+    def test_pooled_observed_run_succeeds(self, tmp_path, capsys):
+        # Every gauge merges, so --jobs needs no special metrics mode.
+        code = main(
+            ["fleet", "characterize", "--chips", "4", "--trials", "1",
+             "--cores", "2", "--jobs", "2", "--out", str(tmp_path)]
+        )
+        assert code == 0
+        assert (tmp_path / "fleet.manifest.json").exists()
 
     def test_characterize_with_out_writes_artifacts(self, tmp_path, capsys):
         code = main(
@@ -300,6 +319,54 @@ class TestFleetCli:
         assert "reduction steps only apply to ATM mode" in (
             capsys.readouterr().err
         )
+
+
+class TestAlertsCli:
+    """A malformed number in a rule or SLO pack is a clean error, never a
+    traceback or a rule that silently never fires."""
+
+    @staticmethod
+    def _pack(tmp_path, schema, key, entry):
+        import json
+
+        path = tmp_path / "pack.json"
+        path.write_text(json.dumps({"schema": schema, key: [entry]}))
+        return str(path)
+
+    def test_list_rules_string_threshold_fails_cleanly(self, tmp_path, capsys):
+        pack = self._pack(
+            tmp_path, "alert_rules/v1", "rules",
+            {"name": "floor", "kind": "threshold",
+             "metric": "fleet.tuned_slowest_mhz", "threshold": "4500"},
+        )
+        code = main(["obs", "alerts", "list", "--rules", pack])
+        assert code == 1
+        assert "threshold must be a finite number" in capsys.readouterr().err
+
+    def test_list_slo_nan_burn_threshold_fails_cleanly(self, tmp_path, capsys):
+        pack = self._pack(
+            tmp_path, "slo/v1", "slos",
+            {"name": "budget", "metric": "fleet.probe_runs",
+             "threshold": 100.0, "burn_threshold": float("nan")},
+        )
+        code = main(["obs", "alerts", "list", "--slo", pack])
+        assert code == 1
+        assert "burn_threshold must be a finite number" in (
+            capsys.readouterr().err
+        )
+
+    def test_fleet_alerts_nan_fence_fails_cleanly(self, tmp_path, capsys):
+        pack = self._pack(
+            tmp_path, "alert_rules/v1", "rules",
+            {"name": "outlier", "kind": "quantile_fence",
+             "metric": "fleet.tuned_slowest_mhz", "fence_k": float("nan")},
+        )
+        code = main(
+            ["fleet", "characterize", "--chips", "2", "--trials", "1",
+             "--cores", "2", "--alerts", pack]
+        )
+        assert code == 1
+        assert "fence_k must be a finite number" in capsys.readouterr().err
 
 
 class TestStoreCli:

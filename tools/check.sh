@@ -75,14 +75,14 @@ if python -m repro bench --experiments fig01 --fleet-chips 32 \
         --compare BENCH_solver.json --out "$bench_out" >/dev/null; then
     echo "bench smoke ok"
     # Observability must stay within its 10% wall-clock budget on the
-    # fleet-characterization path (streaming-telemetry mode).  Same
+    # fleet-characterization path (metrics only, behind a NullSink).  Same
     # two-condition shape as the perf gate: the ratio threshold plus the
     # MIN_REGRESSION_S absolute floor, so sub-50ms deltas never flap.
     if python - "$bench_out" <<'PYEOF'
 import json
 import sys
 
-from repro.analysis.bench import exceeds_ratio_gate
+from repro.obs.stream.gates import exceeds_ratio_gate
 
 entry = json.load(open(sys.argv[1]))["obs_overhead"]
 enabled, disabled = entry["enabled_wall_s"], entry["disabled_wall_s"]
@@ -108,7 +108,7 @@ PYEOF
 import json
 import sys
 
-from repro.analysis.bench import exceeds_ratio_gate
+from repro.obs.stream.gates import exceeds_ratio_gate
 
 entry = json.load(open(sys.argv[1]))["obs_export"]
 alerted, plain = entry["alerting_wall_s"], entry["plain_wall_s"]
@@ -228,15 +228,15 @@ rm -rf "$fleet_obs_tmp"
 echo "== serial vs --jobs 2 fleet summaries above the memo bound =="
 # 2100 chips put 4200 rows through the 4096-state solve memo, so the
 # serial run evicts while pool workers, which reset the memo per chunk,
-# never do.  Memo traffic is execution-scoped: both manifests must carry
-# equal metric summaries and result metrics.  `repro obs diff` cannot be
-# this check, because a pooled run captures no events.
+# never do.  Memo traffic is execution-scoped: both manifests, written
+# under the default registry, must carry equal metric summaries (gauges
+# included) and result metrics.  `repro obs diff` cannot be this check,
+# because a pooled run captures no events.
 memo_tmp="$(mktemp -d)"
 if python -m repro fleet characterize --chips 2100 --trials 1 --cores 2 \
-        --metrics-mode streaming --out "$memo_tmp/A" >/dev/null \
+        --out "$memo_tmp/A" >/dev/null \
         && python -m repro fleet characterize --chips 2100 --trials 1 \
-        --cores 2 --metrics-mode streaming --jobs 2 --out "$memo_tmp/B" \
-        >/dev/null \
+        --cores 2 --jobs 2 --out "$memo_tmp/B" >/dev/null \
         && python - "$memo_tmp/A/fleet.manifest.json" \
             "$memo_tmp/B/fleet.manifest.json" <<'PYEOF'
 import json
@@ -294,12 +294,13 @@ echo "== e2e benchmark harness tests =="
 # name (benchmarks/e2e/spans.py), so renaming one must fail here.
 python -m pytest -q benchmarks/e2e || failures=$((failures + 1))
 
-echo "== e2e fleet report digests (full-size seed-2019 fleets) =="
+echo "== e2e digests (the suite and full-size seed-2019 fleets) =="
 # A zero-second run still sets up and runs one full pass, and its last
-# line says whether every report digest matched
-# benchmarks/e2e/reference.json.  fleet_full also checks the event, tsdb
-# and alert digests of an observed run that writes a store.
-for workload in fleet_warm fleet_cold fleet_full; do
+# line says whether every digest matched benchmarks/e2e/reference.json:
+# the suite's rendered results, and the fleet reports.  fleet_full also
+# checks the event, tsdb and alert digests of an observed run that
+# writes a store.
+for workload in suite fleet_warm fleet_cold fleet_full; do
     if python3 benchmarks/e2e/run.py --workload "$workload" --seconds 0 \
             | tail -n 1 | grep -q '^{"correct": true,'; then
         echo "$workload digests ok"
