@@ -45,7 +45,7 @@ from ..fastpath.store import get_store
 from ..obs.events import CpmStepEvent, RollbackEvent
 from ..obs.runtime import get_obs
 from ..rng import seeded_streams
-from ..silicon.chipspec import ChipSpec
+from ..silicon.chipspec import ChipDraw
 from ..workloads.base import IDLE
 from ..workloads.ubench import UBENCH_SUITE
 from .characterize import (
@@ -284,54 +284,70 @@ def replay_characterization(
 
 
 def characterize_chunk(
-    chips: Sequence[ChipSpec],
+    draws: Sequence[ChipDraw],
     seeds: Sequence[int],
     *,
     trials: int,
     repeats_per_step: int,
     noise_sigma_ps: float,
 ) -> Iterator[tuple[dict, bytes | None]]:
-    """Characterize a fleet chunk's cold chips in one pass.
+    """Characterize a fleet chunk's cold chips in one pass, from their draws.
 
-    Chip ``chips[i]`` is walked exactly as a
+    Chip ``draws[i]`` is walked exactly as a
     :class:`~repro.core.characterize.Characterizer` seeded ``seeds[i]``
-    walks it — the idle stage on every core, then the uBench stage on
-    every core, each trial on its own stream — and yields one
-    ``(record, payload)`` pair per chip, in order, as soon as the chip's
-    walks finish.  ``record`` has the :func:`decode_char` shape.  The op
-    log is kept only when the observability context installed at the
-    first ``next`` captures events or the store configured then is
-    writable: then ``payload`` is the chip's encoded record and
-    ``record`` is its decoding; otherwise ``payload``,
+    walks ``draws[i].materialize()`` — the idle stage on every core, then
+    the uBench stage on every core, each trial on its own stream — and
+    yields one ``(record, payload)`` pair per chip, in order, as soon as
+    the chip's walks finish.  ``record`` has the :func:`decode_char`
+    shape.  The op log is kept only when the observability context
+    installed at the first ``next`` captures events or the store
+    configured then is writable: then ``payload`` is the chip's encoded
+    record and ``record`` is its decoding; otherwise ``payload``,
     ``record["workloads"]`` and ``record["ops"]`` are ``None``.
 
-    Nothing reads an idle stream after its walk, so every idle trial of
-    the chunk runs in one array pass (:func:`_idle_trials`): one noise
-    draw per trial added to its core's slack row, the first failing
-    probe of each trial found over the concatenation, and no generator
-    rewind or failure-mode draw.  A uBench trial's three roll-back walks
-    share one stream, so they run probe by probe
-    (:func:`_ubench_trials`).  Streams are seeded in two batched passes,
-    idle then uBench, and each generator is dropped once its trial is
-    walked.
+    No spec object is built.  The walks read one slack block
+    (:func:`_slack_block`): every core's
+    :meth:`~repro.silicon.chipspec.CoreSpec.slack_row` under each distinct
+    stress, computed from the draws at once.  Nothing reads an idle
+    stream after its walk, so every idle trial of the chunk runs in one
+    array pass (:func:`_idle_trials`): one noise draw per trial added to
+    its core's gathered slack row, the first failing probe of each trial
+    found over the concatenation, and no generator rewind or failure-mode
+    draw.  A uBench trial's three roll-back walks share one stream, so
+    they run probe by probe (:func:`_ubench_trials`) over rows listed
+    once per stress.  Streams are seeded in two batched passes, idle then
+    uBench, and each generator is dropped once its trial is walked.
     """
-    if not chips:
+    if not draws:
         return
     store = get_store()
     keep_ops = get_obs().events_enabled or (store is not None and store.writable)
+    stresses = (IDLE.stress, *(program.stress for program in UBENCH_SUITE))
+    presets = np.array(
+        [preset for draw in draws for preset in draw.preset_codes], dtype=np.int64
+    )
+    block = _slack_block(draws, presets, stresses)
     slack, starts, idle_probes, idle_best, failed = _idle_trials(
-        chips,
+        block[IDLE.stress],
+        presets,
+        draws,
         seeds,
         trials=trials,
         repeats=repeats_per_step,
         sigma=noise_sigma_ps,
     )
-    ubench_streams = seeded_streams(_trial_streams("ubench", chips, seeds, trials))
+    ubench_streams = seeded_streams(_trial_streams("ubench", draws, seeds, trials))
+    # One list per stress, as the uBench walks index Python floats; a
+    # walk starts at its core's idle limit, so no column past the
+    # chunk's largest idle outcome is read.
+    reach = max(idle_best) + 1
+    listed = {stress: block[stress][:, :reach].tolist() for stress in stresses[1:]}
     sample_mode = FailureModel().sample_mode
     first = 0  # the chip's first idle trial
-    for chip in chips:
+    core_at = 0  # the chip's first core in the block
+    for draw in draws:
         recorder = CharRecorder() if keep_ops else None
-        labels = [core.label for core in chip.cores]
+        labels = list(draw.labels)
         stop = first + trials * len(labels)
         idle = {
             label: idle_best[at : at + trials]
@@ -352,10 +368,11 @@ def characterize_chunk(
                 )
         first = stop
         rollbacks = {}
-        for core in chip.cores:
-            rollbacks[core.label], core_probes, core_failures = _ubench_trials(
-                core,
-                min(idle[core.label]),
+        for core, label in enumerate(labels, start=core_at):
+            rollbacks[label], core_probes, core_failures = _ubench_trials(
+                label,
+                [listed[program.stress][core] for program in UBENCH_SUITE],
+                min(idle[label]),
                 ubench_streams,
                 sample_mode,
                 trials=trials,
@@ -365,6 +382,7 @@ def characterize_chunk(
             )
             probes += core_probes
             failures += core_failures
+        core_at += len(labels)
         if recorder is None:
             record = {
                 "labels": labels,
@@ -384,28 +402,83 @@ def characterize_chunk(
             yield decode_char(payload), payload
 
 
-def _idle_trials(chips, seeds, *, trials, repeats, sigma):
+def _slack_block(draws, presets, stresses) -> dict[float, np.ndarray]:
+    """Every core's slack row under each distinct stress in ``stresses``.
+
+    Cores run chip by chip, core by core, one row each; ``presets`` holds
+    their preset codes, and a row has one column per reduction up to the
+    chunk's largest preset.  Column ``k <= preset`` of a core's row is
+    ``CoreSpec.slack_row(stress)[k]`` bit for bit: the inserted-delay
+    prefix sums accumulate left to right from 0.0 (``np.add.accumulate``,
+    as ``CoreSpec`` adds them), and each element is ``headroom - (cum[p] -
+    cum[p - k]) - requirement`` in ``slack_row``'s order, with the
+    requirement interpolated as :func:`_requirements` does.  Columns past
+    a core's preset repeat its last element; no walk reads them.
+    """
+    widths = np.array([row for draw in draws for row in draw.step_widths_ps])
+    curves = np.array([curve for draw in draws for curve in draw.stress_curves])
+    headroom = np.array([ps for draw in draws for ps in draw.headroom_ps])[:, None]
+    steps = np.zeros((presets.size, widths.shape[1] + 1))
+    steps[:, 1:] = widths
+    cum = np.add.accumulate(steps, axis=1)
+    # Row k of a core reads cum[p - k]; past the preset it clamps to cum[0].
+    reductions = np.arange(presets.max() + 1)
+    lower = np.take_along_axis(
+        cum, np.maximum(presets[:, None] - reductions, 0), axis=1
+    )
+    removed = cum[np.arange(presets.size), presets][:, None] - lower
+    return {
+        stress: headroom - removed - _requirements(curves, stress)[:, None]
+        for stress in dict.fromkeys(stresses)
+    }
+
+
+def _requirements(curves: np.ndarray, stress: float) -> np.ndarray:
+    """``CoreSpec.required_protection_ps(stress)`` of every core, bit for bit.
+
+    ``curves`` holds each core's ``(stress, ps)`` anchors.  Inside a
+    curve this is ``np.interp``: an on-anchor stress returns the anchor's
+    value, any other ``slope * (stress - x0) + y0`` over its segment;
+    past the last anchor it extrapolates ``y1 + slope * (stress - x1)``
+    along the final segment.
+    """
+    xs, ys = curves[..., 0], curves[..., 1]
+    cores = np.arange(len(curves))
+    # np.interp's segment: the last anchor at or below the stress, kept
+    # off the final anchor so the segment has a right end.
+    j = np.minimum(np.count_nonzero(xs <= stress, axis=1), xs.shape[1] - 1) - 1
+    x0, x1 = xs[cores, j], xs[cores, j + 1]
+    y0, y1 = ys[cores, j], ys[cores, j + 1]
+    slope = (y1 - y0) / (x1 - x0)
+    return np.where(
+        stress > x1,
+        y1 + slope * (stress - x1),
+        np.where(
+            stress == x1, y1, np.where(stress == x0, y0, slope * (stress - x0) + y0)
+        ),
+    )
+
+
+def _idle_trials(row_block, presets, draws, seeds, *, trials, repeats, sigma):
     """Every idle trial of the chunk as one array pass.
 
-    Trials are ordered chip by chip, core by core, trial by trial.
-    Returns the concatenated noisy slack of every probe a trial could
-    run, and per trial its start in that array, its probe count, its
-    outcome (the last reduction every repeat passed) and whether it
-    ended at a failing probe.
+    ``row_block`` holds every core's idle slack row and ``presets`` its
+    preset code.  Trials are ordered chip by chip, core by core, trial by
+    trial.  Returns the concatenated noisy slack of every probe a trial
+    could run, and per trial its start in that array, its probe count, its
+    outcome (the last reduction every repeat passed) and whether it ended
+    at a failing probe.
     """
     # Probe j of a trial runs at reduction 1 + j // repeats, so the
-    # trial's noise-free slacks are its core's row from reduction 1 on,
-    # each element repeated.
-    rows = [
-        np.repeat(core.slack_row(IDLE.stress)[1:], repeats)
-        for chip in chips
-        for core in chip.cores
-    ]
-    lengths = np.repeat([row.size for row in rows], trials)
+    # trial's noise-free slacks are its core's row from reduction 1 up to
+    # the preset, each element repeated: one copy of the repeated row per
+    # trial, cut at the preset.
+    rows = np.repeat(np.repeat(row_block[:, 1:], repeats, axis=1), trials, axis=0)
+    lengths = np.repeat(presets * repeats, trials)
+    slack = rows[np.arange(rows.shape[1]) < lengths[:, None]]
     starts = np.cumsum(lengths) - lengths
-    slack = np.concatenate([row for row in rows for _ in range(trials)])
     if sigma > 0.0:
-        streams = seeded_streams(_trial_streams("idle", chips, seeds, trials))
+        streams = seeded_streams(_trial_streams("idle", draws, seeds, trials))
         for at, size in zip(starts.tolist(), lengths.tolist()):
             trial = slack[at : at + size]
             np.add(trial, next(streams).normal(0.0, sigma, size=size), out=trial)
@@ -421,19 +494,20 @@ def _idle_trials(chips, seeds, *, trials, repeats, sigma):
     )
 
 
-def _trial_streams(stage: str, chips, seeds, trials: int) -> list[tuple[int, str]]:
+def _trial_streams(stage: str, draws, seeds, trials: int) -> list[tuple[int, str]]:
     """``(seed, stream name)`` of every trial of ``stage``, chip by chip,
     core by core, trial by trial."""
     return [
-        (seed, trial_stream_name(stage, core.label, trial))
-        for seed, chip in zip(seeds, chips)
-        for core in chip.cores
+        (seed, trial_stream_name(stage, label, trial))
+        for seed, draw in zip(seeds, draws)
+        for label in draw.labels
         for trial in range(trials)
     ]
 
 
 def _ubench_trials(
-    core,
+    label: str,
+    program_rows,
     idle_limit: int,
     streams,
     sample_mode,
@@ -445,7 +519,9 @@ def _ubench_trials(
 ) -> tuple[list[int], int, int]:
     """One core's uBench trials, each on the next generator of ``streams``.
 
-    The walks of :meth:`SafetyProbe.rollback_to_safe
+    ``program_rows`` holds the core's slack row under each program of
+    :data:`~repro.workloads.ubench.UBENCH_SUITE`, as lists.  The walks of
+    :meth:`SafetyProbe.rollback_to_safe
     <repro.atm.core_sim.SafetyProbe.rollback_to_safe>` in the order
     :meth:`Characterizer.characterize_ubench
     <repro.core.characterize.Characterizer.characterize_ubench>` runs them,
@@ -454,7 +530,6 @@ def _ubench_trials(
     after each failing probe, because it positions the next noise draw.
     Returns the per-trial rollbacks, the probe count and the failure count.
     """
-    program_rows = [core.slack_row(program.stress).tolist() for program in UBENCH_SUITE]
     rollbacks = []
     probes = failures = 0
     for _ in range(trials):
@@ -482,16 +557,14 @@ def _ubench_trials(
             probes += len(slacks)
             if recorder is not None:
                 recorder.record_probes(
-                    core.label,
+                    label,
                     program.name,
                     steps_run,
                     [value >= 0.0 for value in slacks],
                     slacks,
                 )
                 if safe_at < worst_safe:
-                    recorder.record_rollback(
-                        core.label, program.name, worst_safe, safe_at
-                    )
+                    recorder.record_rollback(label, program.name, worst_safe, safe_at)
             worst_safe = min(worst_safe, safe_at)
         rollbacks.append(idle_limit - worst_safe)
     return rollbacks, probes, failures

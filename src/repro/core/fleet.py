@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..analysis.rendering import ascii_table
-from ..atm.chip_sim import ChipSim, CoreAssignment, MarginMode
+from ..atm.chip_sim import CoreAssignment, MarginMode
 from ..atm.core_sim import check_noise_sigma
 from ..errors import ConfigurationError
 from ..fastpath.cache import reset_solve_cache
@@ -255,15 +255,15 @@ def _characterized_chunk(
     observe identical chips (and emit identical event streams) for a
     given seed.
 
-    Yields ``(draw, chip, idle, ubench, probes)`` chip by chip, in order.
+    Yields ``(draw, idle, ubench, probes)`` chip by chip, in order.
     Every chip is served through :func:`replay_characterization`: a chip
-    whose record the persistent store holds replays it, and ``chip`` is
-    ``None`` because no spec object was materialized; the other (cold)
-    chips are materialized and characterized together by
+    whose record the persistent store holds replays it; the other (cold)
+    chips are characterized together, straight from their draws, by
     :func:`characterize_chunk`, one record at a time, and each cold
     record is written back (writable stores only) just before its chip
     is yielded, so the store receives a chip's records in chip order,
-    interleaved with whatever the caller writes for the chip.
+    interleaved with whatever the caller writes for the chip.  No spec
+    object is built either way.
     """
     draws = draw_chips(seed, chunk, n_cores=n_cores)
     store = get_store()
@@ -289,9 +289,8 @@ def _characterized_chunk(
                 publish_store_counters(hits=1, corrupt=corrupt[position])
 
     cold = [position for position, record in enumerate(records) if record is None]
-    chips = {position: draws[position].materialize() for position in cold}
     fresh = characterize_chunk(
-        list(chips.values()),
+        [draws[position] for position in cold],
         [seed + chunk[position] for position in cold],
         trials=trials,
         repeats_per_step=_FLEET_REPEATS_PER_STEP,
@@ -310,7 +309,7 @@ def _characterized_chunk(
                     misses=1, writes=1 if wrote else 0, corrupt=corrupt[position]
                 )
         idle, ubench, probes = replay_characterization(record, obs)
-        yield draw, chips.get(position), idle, ubench, probes
+        yield draw, idle, ubench, probes
 
 
 def _chunks(n_chips: int, chunk_size: int) -> list[range]:
@@ -325,8 +324,8 @@ def _chunks(n_chips: int, chunk_size: int) -> list[range]:
 def _validate_draw_rows(draw: ChipDraw, rows) -> None:
     """Replicate :meth:`ChipSim.validate_assignments` against a raw draw.
 
-    The warm path never materializes the chip, so the same checks (and
-    the exact same error messages) run against the draw's preset codes.
+    The fleet never materializes a chip, so the same checks (and the
+    exact same error messages) run against the draw's preset codes.
     """
     for row in rows:
         if len(row) != draw.n_cores:
@@ -421,7 +420,7 @@ def collect_chip_stats(
         )
     )
     stats = []
-    for draw, _chip, idle, ubench, probes in characterized:
+    for draw, idle, ubench, probes in characterized:
         idle_counts: dict[int, int] = {}
         ubench_counts: dict[int, int] = {}
         rollback_counts: dict[int, int] = {}
@@ -527,49 +526,34 @@ def _process_chunk(
 ) -> None:
     """Characterize + solve one chunk of chips into ``accumulator``.
 
-    Every chip's characterization is replayed from its record
-    (:func:`_characterized_chunk`).  Chips whose characterization and
-    compiled tables are already in the persistent store never
-    materialize spec objects: the chunk streams their draws straight
-    into store-served :class:`CompiledChip` tables and plain assignment
-    tuples, and the solve batch (the same :func:`solve_chips_cached`
-    call either way) serves their converged states from disk too.  Cold
-    chips are characterized by one chunk pass and compiled from their
-    materialized specs, and every record they produce is written back.
+    Every chip runs one path, straight from its draw: its
+    characterization is replayed from its record
+    (:func:`_characterized_chunk`), its assignment rows are plain
+    :class:`CoreAssignment` tuples checked against the draw's presets,
+    and :func:`compile_draw` compiles its tables from the draw or serves
+    them from the persistent store.  The solve batch
+    (:func:`solve_chips_cached`) serves stored converged states from disk
+    too, and every record a cold chip produces is written back.
     """
     entries = []
     per_chip = []
-    for draw, chip, idle, ubench, probes in _characterized_chunk(
+    for draw, idle, ubench, probes in _characterized_chunk(
         chunk,
         seed=seed,
         trials=trials,
         n_cores=n_cores,
         noise_sigma_ps=noise_sigma_ps,
     ):
-        tuned_reductions = [ubench[label].ubench_limit for label in draw.labels]
-        if chip is not None:
-            sim = ChipSim(chip)
-            baseline_row = sim.uniform_assignments(
-                mode=mode, reduction_steps=reduction_steps
-            )
-            tuned_row = sim.uniform_assignments(reductions=tuned_reductions)
-            sim.validate_assignments(baseline_row)
-            sim.validate_assignments(tuned_row)
-            compiled = sim.compiled
-        else:
-            baseline_row = tuple(
-                CoreAssignment(
-                    workload=IDLE, mode=mode, reduction_steps=reduction_steps
-                )
-                for _ in draw.labels
-            )
-            tuned_row = tuple(
-                CoreAssignment(workload=IDLE, reduction_steps=steps)
-                for steps in tuned_reductions
-            )
-            _validate_draw_rows(draw, (baseline_row, tuned_row))
-            compiled = compile_draw(draw)
-        entries.append((compiled, [baseline_row, tuned_row], None))
+        baseline_row = tuple(
+            CoreAssignment(workload=IDLE, mode=mode, reduction_steps=reduction_steps)
+            for _ in draw.labels
+        )
+        tuned_row = tuple(
+            CoreAssignment(workload=IDLE, reduction_steps=ubench[label].ubench_limit)
+            for label in draw.labels
+        )
+        _validate_draw_rows(draw, (baseline_row, tuned_row))
+        entries.append((compile_draw(draw), [baseline_row, tuned_row], None))
         per_chip.append((draw, idle, ubench, probes))
 
     states = solve_chips_cached(entries)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from ..analysis.rendering import ascii_table
 from ..errors import ConfigurationError
-from ..obs.stream.gates import DEFAULT_FENCE_K, quantile_fence
+from ..obs.stream.gates import DEFAULT_FENCE_K, check_fence_k, quantile_fence
 from ..silicon.chipspec import CORES_PER_CHIP
 from .fleet import ChipStats, collect_chip_stats
 
@@ -227,7 +227,11 @@ def assess_fleet(
     fence_k: float = DEFAULT_FENCE_K,
     noise_sigma_ps: float = 0.1,
 ) -> FleetHealthReport:
-    """Characterize a sampled fleet and triage it (``repro fleet health``)."""
+    """Characterize a sampled fleet and triage it (``repro fleet health``).
+
+    ``fence_k`` is checked before any chip is characterized.
+    """
+    check_fence_k(fence_k)
     stats = collect_chip_stats(
         n_chips,
         seed=seed,

@@ -114,8 +114,8 @@ def fingerprint_from_draw(draw, thermal: ThermalModel | None = None) -> str:
 
     Equal to ``fingerprint_of(draw.materialize())`` (pinned in
     ``tests/fastpath/test_store.py``) but packed straight from the raw
-    sampled values, so the warm fleet path can address the store without
-    building any per-chip spec objects.  Sampled chips take every
+    sampled values, so the fleet can address the store without building
+    any per-chip spec objects.  Sampled chips take every
     non-drawn parameter at its dataclass default, which is what the
     constants below restate.
     """
@@ -146,18 +146,24 @@ def fingerprint_from_draw(draw, thermal: ThermalModel | None = None) -> str:
 
 
 class ChipRef:
-    """Minimal chip handle for store-loaded tables (fleet warm path).
+    """Minimal chip handle for tables compiled from a draw (the fleet path).
 
     Downstream consumers of ``CompiledChip.chip`` only read ``chip_id``
-    (gauge identity ticks, solver error messages); when the warm fleet
-    pipeline serves a chip entirely from the store it never materializes
-    a :class:`ChipSpec`, and this stands in.
+    (gauge identity ticks, solver error messages); the fleet compiles
+    every chip from its draw or the store and never materializes a
+    :class:`ChipSpec`, so this stands in.
     """
 
     __slots__ = ("chip_id",)
 
     def __init__(self, chip_id: str):
         self.chip_id = chip_id
+
+
+def _nominal_alpha_factor(v_threshold: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """Denominator of the alpha-power delay ratio, fixed per core:
+    V_nom / (V_nom - V_t)^alpha."""
+    return NOMINAL_VDD / ((NOMINAL_VDD - v_threshold) ** alpha)
 
 
 class CompiledChip:
@@ -219,11 +225,7 @@ class CompiledChip:
             [c.synth_path.v_threshold for c in cores], dtype=np.float64
         )
         self.alpha = np.array([c.synth_path.alpha for c in cores], dtype=np.float64)
-        # Denominator of the alpha-power delay ratio, fixed per core:
-        # V_nom / (V_nom - V_t)^alpha.
-        self.nominal_alpha_factor = NOMINAL_VDD / (
-            (NOMINAL_VDD - self.v_threshold) ** self.alpha
-        )
+        self.nominal_alpha_factor = _nominal_alpha_factor(self.v_threshold, self.alpha)
         self.temp_coeff = np.array(
             [c.synth_path.temp_coefficient_per_c for c in cores], dtype=np.float64
         )
@@ -290,6 +292,52 @@ class CompiledChip:
         self.fingerprint = fingerprint
         return self
 
+    @classmethod
+    def from_draw(
+        cls, draw, *, thermal: ThermalModel, fingerprint: str
+    ) -> "CompiledChip":
+        """Compile a :class:`~repro.silicon.chipspec.ChipDraw` from its values.
+
+        Every array holds the bytes ``CompiledChip(draw.materialize())``
+        computes: the inserted-delay table accumulates each core's step
+        widths left to right from 0.0 (``np.add.accumulate``, as
+        ``CoreSpec`` adds them), and every parameter the draw does not
+        sample takes the dataclass default :func:`fingerprint_from_draw`
+        restates.  The chip is a :class:`ChipRef`.
+        """
+        path, power = _DRAWN_PATH, _DRAWN_POWER
+        n_cores = len(draw.labels)
+        widths = np.array(draw.step_widths_ps, dtype=np.float64)
+        steps = np.zeros((n_cores, widths.shape[1] + 1))
+        steps[:, 1:] = widths
+        v_threshold = np.full(n_cores, path.v_threshold)
+        alpha = np.full(n_cores, path.alpha)
+        tables = {
+            "n_cores": n_cores,
+            "slack_ps": float(DEFAULT_THRESHOLD_UNITS * DEFAULT_INVERTER_STEP_PS),
+            "vrm_voltage": float(NOMINAL_VDD),
+            "pdn_resistance_ohm": float(DEFAULT_PDN_RESISTANCE_OHM),
+            "uncore_power_w": float(DEFAULT_UNCORE_POWER_W),
+            "ambient_c": float(thermal.ambient_c),
+            "thermal_resistance": float(thermal.resistance_c_per_w),
+            "base_delay_ps": np.array(draw.synth_base_ps, dtype=np.float64),
+            "v_threshold": v_threshold,
+            "alpha": alpha,
+            "nominal_alpha_factor": _nominal_alpha_factor(v_threshold, alpha),
+            "temp_coeff": np.full(n_cores, path.temp_coefficient_per_c),
+            "leakage_w": np.array(draw.leakage_w, dtype=np.float64),
+            "ceff_w_per_ghz": np.array(draw.ceff_w_per_ghz, dtype=np.float64),
+            "leakage_temp_coeff": np.full(n_cores, power.leakage_temp_coeff_per_c),
+            "preset_code": np.array(draw.preset_codes, dtype=np.int64),
+            "insert_table_ps": np.add.accumulate(steps, axis=1),
+        }
+        return cls.from_tables(
+            tables,
+            chip=ChipRef(draw.chip_id),
+            thermal=thermal,
+            fingerprint=fingerprint,
+        )
+
     @property
     def ambient_temperature_c(self) -> float:
         """Ambient reference of the delay/leakage temperature terms."""
@@ -343,17 +391,20 @@ def compile_chip(
 def compile_draw(draw, thermal: ThermalModel | None = None) -> CompiledChip:
     """Compile a :class:`~repro.silicon.chipspec.ChipDraw`, store first.
 
-    The warm fleet path's compile entry: the fingerprint is computed from
-    the raw draw values, and a stored record is rebuilt zero-copy around a
-    :class:`ChipRef` — no :class:`ChipSpec` is ever materialized.  Only a
-    store miss (or no store) falls back to ``draw.materialize()`` plus the
-    regular :func:`compile_chip` write-back path.
+    The fleet's compile entry, cold or warm: the fingerprint is packed
+    from the raw draw values, and a stored record is rebuilt zero-copy
+    around a :class:`ChipRef`.  With no store, or on a miss, the tables
+    are compiled straight from the draw (:meth:`CompiledChip.from_draw`)
+    and a miss writes them back (writable stores only).  No
+    :class:`ChipSpec` is ever materialized, and the result — arrays,
+    scalars, fingerprint and store payload — equals
+    ``compile_chip(draw.materialize(), thermal)``'s.
     """
     thermal = thermal if thermal is not None else ThermalModel()
+    fingerprint = fingerprint_from_draw(draw, thermal)
     store = get_store()
     if store is None:
-        return compile_chip(draw.materialize(), thermal)
-    fingerprint = fingerprint_from_draw(draw, thermal)
+        return CompiledChip.from_draw(draw, thermal=thermal, fingerprint=fingerprint)
     key = compiled_key(fingerprint)
     corrupt_before = store.corrupt_entries
     payload = store.get(KIND_COMPILED, key)
@@ -369,7 +420,7 @@ def compile_draw(draw, thermal: ThermalModel | None = None) -> CompiledChip:
                 thermal=thermal,
                 fingerprint=fingerprint,
             )
-    result = CompiledChip(draw.materialize(), thermal, fingerprint=fingerprint)
+    result = CompiledChip.from_draw(draw, thermal=thermal, fingerprint=fingerprint)
     wrote = store.put(KIND_COMPILED, key, encode_compiled(result))
     publish_store_counters(
         misses=1,

@@ -49,16 +49,21 @@ def quantile_from_counts(counts: Mapping, q: float):
     return value
 
 
+def check_fence_k(k: float) -> None:
+    """Reject a fence multiplier that is not finite and > 0: a NaN fence
+    would compare false against every value and silently flag nothing."""
+    if not (math.isfinite(k) and k > 0.0):
+        raise ConfigurationError(f"fence k must be finite and > 0, got {k}")
+
+
 def quantile_fence(counts: Mapping, *, k: float, op: str, floor: float) -> float:
     """The bound a value must not cross to stay in line with ``counts``.
 
     ``op="below"`` fences the low tail at ``p50 − k·max(p50 − p10, floor)``
     and ``op="above"`` the high tail at ``p50 + k·max(p90 − p50, floor)``.
-    ``k`` must be finite and > 0: a NaN fence would compare false against
-    every value and silently flag nothing.
+    ``k`` must pass :func:`check_fence_k`.
     """
-    if not (math.isfinite(k) and k > 0.0):
-        raise ConfigurationError(f"fence k must be finite and > 0, got {k}")
+    check_fence_k(k)
     p50 = quantile_from_counts(counts, 0.50)
     if op == "below":
         return p50 - k * max(p50 - quantile_from_counts(counts, 0.10), floor)

@@ -28,21 +28,33 @@ from ...errors import ConfigurationError
 from .exact import MergeableStat
 
 
+def window_width(window_ticks: float) -> float:
+    """``window_ticks`` as a float width; it must be finite and > 0.
+
+    A NaN width compares false against every bound and an infinite one
+    folds every tick into window 0 (or NaN), and neither is valid JSON in
+    a persisted series, so both are configuration errors.
+    """
+    width = float(window_ticks)
+    if not (math.isfinite(width) and width > 0.0):
+        raise ConfigurationError(
+            f"window width must be finite and > 0 ticks, got {window_ticks}"
+        )
+    return width
+
+
 class WindowedAggregator:
     """Per-tick-window min/max/mean/count with an order-invariant merge."""
 
     __slots__ = ("_width", "_max_windows", "_windows")
 
     def __init__(self, window_ticks: float, *, max_windows: int = 0):
-        if window_ticks <= 0.0:
-            raise ConfigurationError(
-                f"window width must be > 0 ticks, got {window_ticks}"
-            )
+        width = window_width(window_ticks)
         if max_windows < 0:
             raise ConfigurationError(
                 f"max_windows must be >= 0 (0 = unbounded), got {max_windows}"
             )
-        self._width = float(window_ticks)
+        self._width = width
         self._max_windows = max_windows
         self._windows: dict[int, MergeableStat] = {}
 

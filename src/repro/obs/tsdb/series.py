@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 
 from ...errors import ConfigurationError
-from ..stream.window import WindowedAggregator
+from ..stream.window import WindowedAggregator, window_width
 
 #: Serialized tsdb/series document schema revision.
 TSDB_SCHEMA = 1
@@ -132,13 +132,9 @@ class Tsdb:
             raise ConfigurationError(
                 f"invalid experiment id {experiment!r} for a tsdb"
             )
-        if window_ticks <= 0.0:
-            raise ConfigurationError(
-                f"window width must be > 0 ticks, got {window_ticks}"
-            )
         self.experiment = experiment
         self.seed = int(seed)
-        self._window_ticks = float(window_ticks)
+        self._window_ticks = window_width(window_ticks)
         self._series: dict[str, MetricTimeSeries] = {}
 
     @property

@@ -628,14 +628,17 @@ class ChipDraw:
     is its one-chip call), running the RNG draws and factory-calibration
     arithmetic of :func:`sample_chip` but collecting the per-core results
     into flat tuples instead of constructing :class:`CoreSpec` /
-    :class:`ChipSpec` objects.  The fleet warm path
-    (:mod:`repro.core.fleet`) addresses the persistent solve store straight
-    from these values — :func:`repro.fastpath.compiled.fingerprint_from_draw`
-    and :func:`repro.core.char_record.char_key` pack them into the
-    ``"solver-v2"`` and ``"char-v2"`` keys — so a store-served chip never
-    pays for spec-object materialization; :meth:`materialize` rebuilds the
-    exact :class:`ChipSpec` (bit-identical fields, same validation) on
-    demand.
+    :class:`ChipSpec` objects.  The fleet (:mod:`repro.core.fleet`) runs
+    every chip, cold or store-served, straight from these values:
+    :func:`repro.fastpath.compiled.fingerprint_from_draw` and
+    :func:`repro.core.char_record.char_key` pack them into the
+    ``"solver-v2"`` and ``"char-v2"`` store keys,
+    :func:`repro.core.char_record.characterize_chunk` walks a chunk's cold
+    chips over slack rows computed from them, and
+    :func:`repro.fastpath.compiled.compile_draw` compiles the solver
+    tables from them.  :meth:`materialize` rebuilds the exact
+    :class:`ChipSpec` (bit-identical fields, same validation) for
+    everything else, such as :func:`sample_chip`.
     """
 
     chip_id: str
@@ -865,8 +868,8 @@ def sample_chip(
     presets (more hidden margin) and slow cores small ones.
 
     Implemented as ``draw_chip(...).materialize()`` — the raw draw and the
-    spec construction are separable so the fleet warm path can skip the
-    latter (see :class:`ChipDraw`).
+    spec construction are separable so the fleet can skip the latter
+    (see :class:`ChipDraw`).
     """
     return draw_chip(
         seed, chip_id, n_cores=n_cores, variation=variation

@@ -1,23 +1,27 @@
 """The chunk characterization pass against the per-chip oracle.
 
-``characterize_chunk`` walks all of a fleet chunk's cold chips at once
-and the fleet serves every chip through ``replay_characterization``.
-Together they must be indistinguishable from characterizing each chip
-with its own ``Characterizer`` (:mod:`tests.core.chip_oracle`): same
-results, probe counts, record bytes, event lines and counters, in dark,
-metrics-only, event-capturing and store-writable contexts, and through
+``characterize_chunk`` walks all of a fleet chunk's cold chips at once,
+straight from their draws, and the fleet serves every chip through
+``replay_characterization``.  Together they must be indistinguishable
+from characterizing each materialized chip with its own
+``Characterizer`` (:mod:`tests.core.chip_oracle`): same results, probe
+counts, record bytes, event lines and counters, in dark, metrics-only,
+event-capturing and store-writable contexts, and through
 ``run_fleet_observed`` with a store that holds records for only part of a
-chunk.
+chunk.  The slack block the pass reads must equal every core's
+``CoreSpec.slack_row`` byte for byte.
 """
 
 import dataclasses
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 from repro.core.char_record import (
+    _slack_block,
     char_key,
     characterize_chunk,
     replay_characterization,
@@ -49,13 +53,13 @@ def _clean_layers():
 
 
 def _cold_chunk(seed: int, start: int, size: int, n_cores: int):
-    """Materialized chips ``start .. start + size - 1`` and their seeds."""
+    """Draws of fleet chips ``start .. start + size - 1`` and their seeds."""
     indices = range(start, start + size)
     try:
         draws = draw_chips(seed, indices, n_cores=n_cores)
     except ConfigurationError:  # a non-physical chip
         reject()
-    return [draw.materialize() for draw in draws], [seed + i for i in indices]
+    return list(draws), [seed + i for i in indices]
 
 
 def _lines(events) -> list[str]:
@@ -66,7 +70,7 @@ def _lines(events) -> list[str]:
     ]
 
 
-def _chunk_pass(chips, seeds, *, trials, sigma, context):
+def _chunk_pass(draws, seeds, *, trials, sigma, context):
     """Run the chunk pass in ``context``, then replay each chip in a fresh
     context of the same observability kind."""
     kind = "dark" if context == "store" else context
@@ -76,7 +80,7 @@ def _chunk_pass(chips, seeds, *, trials, sigma, context):
         with observed(observability(kind)):
             pairs = list(
                 characterize_chunk(
-                    chips,
+                    draws,
                     seeds,
                     trials=trials,
                     repeats_per_step=REPEATS_PER_STEP,
@@ -129,29 +133,31 @@ class TestChunkPassMatchesOracle:
     def test_chunk_pass_plus_replay_is_the_per_chip_walk(
         self, seed, start, size, n_cores, trials, sigma
     ):
-        chips, seeds = _cold_chunk(seed, start, size, n_cores)
+        draws, seeds = _cold_chunk(seed, start, size, n_cores)
         oracle = [
-            characterize_chip(chip, chip_seed, trials=trials, noise_sigma_ps=sigma)
-            for chip, chip_seed in zip(chips, seeds)
+            characterize_chip(
+                draw.materialize(), chip_seed, trials=trials, noise_sigma_ps=sigma
+            )
+            for draw, chip_seed in zip(draws, seeds)
         ]
         for context in CONTEXTS:
             served = _chunk_pass(
-                chips, seeds, trials=trials, sigma=sigma, context=context
+                draws, seeds, trials=trials, sigma=sigma, context=context
             )
-            assert len(served) == len(chips)
+            assert len(served) == len(draws)
             for got, want in zip(served, oracle):
                 _assert_served_as_oracle(got, want, context)
 
     def test_fleet_sized_chunk(self):
         # Sixteen eight-core chips at the fleet's default trials and noise,
         # as `repro fleet characterize` runs them.
-        chips, seeds = _cold_chunk(2019, 0, 16, 8)
+        draws, seeds = _cold_chunk(2019, 0, 16, 8)
         oracle = [
-            characterize_chip(chip, chip_seed, trials=4, noise_sigma_ps=0.1)
-            for chip, chip_seed in zip(chips, seeds)
+            characterize_chip(draw.materialize(), chip_seed, trials=4, noise_sigma_ps=0.1)
+            for draw, chip_seed in zip(draws, seeds)
         ]
         for context in CONTEXTS:
-            served = _chunk_pass(chips, seeds, trials=4, sigma=0.1, context=context)
+            served = _chunk_pass(draws, seeds, trials=4, sigma=0.1, context=context)
             for got, want in zip(served, oracle):
                 _assert_served_as_oracle(got, want, context)
 
@@ -160,6 +166,43 @@ class TestChunkPassMatchesOracle:
             [], [], trials=4, repeats_per_step=2, noise_sigma_ps=0.1
         )
         assert list(chunk) == []
+
+
+class TestSlackBlock:
+    STRESSES = (IDLE.stress, *(program.stress for program in UBENCH_SUITE))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31),
+        start=st.integers(min_value=0, max_value=20_000),
+        size=st.integers(min_value=1, max_value=4),
+        n_cores=st.sampled_from((1, 4, 8)),
+    )
+    def test_block_rows_are_slack_rows(self, seed, start, size, n_cores):
+        draws, _ = _cold_chunk(seed, start, size, n_cores)
+        presets = np.array([p for draw in draws for p in draw.preset_codes])
+        block = _slack_block(draws, presets, self.STRESSES)
+        assert sorted(block) == sorted(set(self.STRESSES))
+        cores = [core for draw in draws for core in draw.materialize().cores]
+        for stress in self.STRESSES:
+            rows = block[stress]
+            assert rows.dtype == np.float64 and rows.shape[0] == len(cores)
+            for row, core in zip(rows, cores):
+                # Every reduction 0..preset, as bytes.
+                want = core.slack_row(stress)
+                assert row[: core.preset_code + 1].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("stress", [0.1, 0.6, 0.7, 1.0, 1.5])
+    def test_any_stress_interpolates_as_slack_row(self, stress):
+        # Between, on and past the stress anchors: np.interp's rule and
+        # the final segment's extrapolation.
+        draws, _ = _cold_chunk(2019, 0, 4, 8)
+        presets = np.array([p for draw in draws for p in draw.preset_codes])
+        rows = _slack_block(draws, presets, (stress,))[stress]
+        cores = [core for draw in draws for core in draw.materialize().cores]
+        for row, core in zip(rows, cores):
+            want = core.slack_row(stress)
+            assert row[: core.preset_code + 1].tobytes() == want.tobytes()
 
 
 class TestFleetWithPartialStore:

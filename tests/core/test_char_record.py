@@ -24,7 +24,7 @@ from repro.core.char_record import (
 from repro.obs.events import CpmStepEvent
 from repro.obs.runtime import Observability, observed
 from repro.obs.sinks import NullSink, RingBufferSink
-from repro.silicon import sample_chip
+from repro.silicon.chipspec import draw_chip
 
 from .chip_oracle import characterize_chip
 
@@ -107,16 +107,17 @@ class TestColumnEncoding:
     def test_live_characterization_payload(self):
         # A real characterization log: the chunk pass's record against one
         # row per event of the per-chip walk.
-        chip = sample_chip(7, chip_id="P0")
+        draw = draw_chip(7, chip_id="P0")
         with observed(Observability(NullSink())):
             ((record, payload),) = characterize_chunk(
-                [chip], [2019], trials=4, repeats_per_step=2, noise_sigma_ps=0.1
+                [draw], [2019], trials=4, repeats_per_step=2, noise_sigma_ps=0.1
             )
         assert payload is None  # metrics-only: no op log
         with observed(Observability(RingBufferSink())):
             ((record, payload),) = characterize_chunk(
-                [chip], [2019], trials=4, repeats_per_step=2, noise_sigma_ps=0.1
+                [draw], [2019], trials=4, repeats_per_step=2, noise_sigma_ps=0.1
             )
+        chip = draw.materialize()
         live = characterize_chip(chip, 2019, trials=4, noise_sigma_ps=0.1)
         rows = [
             (OP_PROBE, e.core_label, e.workload, e.reduction_steps, e.safe, e.slack_ps)

@@ -18,6 +18,7 @@ from repro.core.fleet import (
 )
 from repro.fastpath.cache import reset_solve_cache
 from repro.fastpath.store import configure_store, get_store, reset_store
+from repro.silicon.chipspec import ChipDraw, ChipSpec
 
 CHIPS = 6
 TRIALS = 2
@@ -169,3 +170,21 @@ class TestObservedRunIdentity:
         after = get_store().stats()
         assert after["misses"] == before["misses"]
         assert after["compiled_hits"] - before["compiled_hits"] == CHIPS
+
+
+class TestFleetBuildsNoSpec:
+    def test_cold_fleet_never_materializes_a_chip(self, tmp_path, monkeypatch):
+        # Every chip runs from its draw, cold or store-served: with spec
+        # construction refused, a cold fleet still completes, with and
+        # without a store, and both runs agree.
+        def refuse(self):
+            raise AssertionError("the fleet path built a ChipSpec")
+
+        monkeypatch.setattr(ChipDraw, "materialize", refuse)
+        monkeypatch.setattr(ChipSpec, "__post_init__", refuse)
+        plain = characterize_fleet(70, seed=2019)
+        configure_store(tmp_path / "store")
+        stored = characterize_fleet(70, seed=2019)
+        assert get_store().stats()["compiled_misses"] == 70
+        assert stored.to_dict() == plain.to_dict()
+        assert plain.n_chips == 70 and plain.cores_total == 560

@@ -20,6 +20,7 @@ from repro.obs.tsdb import (
     capture_summary,
     validate_metric_name,
 )
+from repro.obs.stream.window import WindowedAggregator
 
 SEED = 2019
 
@@ -86,6 +87,17 @@ class TestTsdbModel:
             _filled(experiment="a").merge(_filled(experiment="b"))
         with pytest.raises(ConfigurationError):
             _filled(window_ticks=64.0).merge(_filled(window_ticks=32.0))
+
+    @pytest.mark.parametrize("width", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_window_rejected(self, width):
+        # NaN used to pass the > 0 check and crash the first sample; an
+        # infinite width wrote "Infinity", which is not JSON, to disk.
+        with pytest.raises(ConfigurationError, match="finite"):
+            WindowedAggregator(width)
+        with pytest.raises(ConfigurationError, match="finite"):
+            Tsdb("exp", SEED, window_ticks=width)
+        with pytest.raises(ConfigurationError, match="finite"):
+            MetricTimeSeries("fleet.probe_runs", window_ticks=width)
 
     def test_series_merge_requires_same_metric(self):
         left = _filled().series("fleet.probe_runs")
@@ -161,6 +173,21 @@ class TestTsdbStore:
         with pytest.raises(ConfigurationError):
             store.load_series("exp", SEED, "fleet.probe_runs")
         with pytest.raises(ConfigurationError):
+            store.load_run("exp", SEED)
+
+    @pytest.mark.parametrize("width", ["NaN", "Infinity"])
+    def test_stored_non_finite_window_is_a_clean_error(self, tmp_path, width):
+        store = TsdbStore(tmp_path / "tsdb")
+        path = store.write(_filled())[0]
+        text = path.read_text(encoding="utf-8")
+        path.write_text(
+            text.replace('"window_ticks": 64.0', f'"window_ticks": {width}'),
+            encoding="utf-8",
+        )
+        metric = json.loads(text)["metric"]
+        with pytest.raises(ConfigurationError, match="finite"):
+            store.load_series("exp", SEED, metric)
+        with pytest.raises(ConfigurationError, match="finite"):
             store.load_run("exp", SEED)
 
     def test_header_location_mismatch_rejected(self, tmp_path):

@@ -3,6 +3,21 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core import fleet
+
+
+@pytest.fixture
+def drawn(monkeypatch):
+    """Every index range the fleet driver draws, in order."""
+    spans = []
+    draw_chips = fleet.draw_chips
+
+    def spy(seed, indices, **kwargs):
+        spans.append(indices)
+        return draw_chips(seed, indices, **kwargs)
+
+    monkeypatch.setattr(fleet, "draw_chips", spy)
+    return spans
 
 
 class TestParser:
@@ -255,15 +270,18 @@ class TestAnalyzeCli:
         assert document["kind"] == "fleet_health"
         assert len(document["chips"]) == 2
 
-    def test_fleet_health_non_finite_fence_fails_cleanly(self, capsys):
+    def test_fleet_health_non_finite_fence_fails_cleanly(self, capsys, drawn):
         # A NaN fence compares false against every chip: before this was
-        # rejected, the run printed "outliers: none" and exited 0.
+        # rejected, the run printed "outliers: none" and exited 0.  The
+        # fence is checked before the fleet is characterized, so no chip
+        # is drawn.
         code = main(
             ["fleet", "health", "--chips", "2",
              "--trials", "1", "--cores", "2", "--fence-k", "nan"]
         )
         assert code == 1
         assert "error: fence k must be finite and > 0" in capsys.readouterr().err
+        assert drawn == []
 
 
 class TestFleetCli:
@@ -276,6 +294,24 @@ class TestFleetCli:
         out = capsys.readouterr().out
         assert "fleet characterization: 2 chips x 2 cores" in out
         assert "rollback rate:" in out
+
+    @pytest.mark.parametrize("width", ["nan", "inf"])
+    def test_non_finite_alert_window_fails_before_drawing(
+        self, tmp_path, capsys, drawn, width
+    ):
+        # NaN used to crash in the first chip's tsdb sample with a
+        # traceback; inf ran and wrote "Infinity" (not JSON) to every
+        # series file.
+        code = main(
+            ["fleet", "characterize", "--chips", "2", "--trials", "1",
+             "--cores", "2", "--alerts", "default",
+             "--tsdb", str(tmp_path / "tsdb"), "--alert-window", width]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: window width must be finite and > 0 ticks" in err
+        assert drawn == []
+        assert not (tmp_path / "tsdb").exists()
 
     def test_pooled_observed_run_succeeds(self, tmp_path, capsys):
         # Every gauge merges, so --jobs needs no special metrics mode.

@@ -134,27 +134,38 @@ fi
 rm -f "$bench_out"
 
 echo "== solve store cold-vs-warm smoke =="
-# Two fleet characterizations into the same store, in separate
-# processes: the warm run must serve everything from disk (zero misses)
-# and print a byte-identical report modulo the store-traffic line.
+# Three fleet characterizations into the same store, in separate
+# processes: a cold fill, a serial warm run and a pooled warm run
+# (--chunk 3 --jobs 2, whose workers serve compile_draw hits from the
+# shared read-only mmap).  Each warm run must serve everything from disk
+# (zero misses) and print a byte-identical report modulo the
+# store-traffic line.
 store_tmp="$(mktemp -d)"
 if python -m repro fleet characterize --chips 8 --trials 2 --cores 4 \
         --solve-store "$store_tmp/store" >"$store_tmp/cold.txt" \
         && python -m repro fleet characterize --chips 8 --trials 2 --cores 4 \
         --solve-store "$store_tmp/store" >"$store_tmp/warm.txt" \
+        && python -m repro fleet characterize --chips 8 --trials 2 --cores 4 \
+        --chunk 3 --jobs 2 \
+        --solve-store "$store_tmp/store" >"$store_tmp/pool.txt" \
         && python -m repro store verify "$store_tmp/store" >/dev/null; then
     grep -v '^solve store' "$store_tmp/cold.txt" >"$store_tmp/cold.body"
-    grep -v '^solve store' "$store_tmp/warm.txt" >"$store_tmp/warm.body"
-    if cmp -s "$store_tmp/cold.body" "$store_tmp/warm.body" \
-            && grep '^solve store' "$store_tmp/warm.txt" \
-                | grep -q ' 0 misses' \
-            && ! grep '^solve store' "$store_tmp/warm.txt" \
-                | grep -q '^solve store [^:]*: 0 hits'; then
+    warm_ok=1
+    for run in warm pool; do
+        grep -v '^solve store' "$store_tmp/$run.txt" >"$store_tmp/$run.body"
+        traffic="$(grep '^solve store' "$store_tmp/$run.txt")"
+        if ! cmp -s "$store_tmp/cold.body" "$store_tmp/$run.body" \
+                || ! grep -q ' 0 misses' <<<"$traffic" \
+                || grep -q '^solve store [^:]*: 0 hits' <<<"$traffic"; then
+            echo "store smoke FAILED: $run run diverged or missed the store"
+            diff "$store_tmp/cold.body" "$store_tmp/$run.body" || true
+            echo "$traffic"
+            warm_ok=0
+        fi
+    done
+    if [ "$warm_ok" -eq 1 ]; then
         echo "store cold-vs-warm smoke ok"
     else
-        echo "store smoke FAILED: warm run diverged or missed the store"
-        diff "$store_tmp/cold.body" "$store_tmp/warm.body" || true
-        grep '^solve store' "$store_tmp/warm.txt" || true
         failures=$((failures + 1))
     fi
 else
