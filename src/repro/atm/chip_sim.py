@@ -99,6 +99,35 @@ class CoreAssignment:
             return value
 
 
+def check_assignment_rows(
+    chip_id: str,
+    labels: Sequence[str],
+    presets: Sequence[int],
+    rows: Sequence[Sequence[CoreAssignment]],
+) -> None:
+    """Reject malformed assignment rows for one chip.
+
+    A row must hold one assignment per core (``len(presets)`` of them),
+    and no ATM assignment may reduce its core's inserted delay past the
+    core's preset code.  :class:`ChipSim` checks its chip's cores; the
+    fleet, which never builds a chip, checks a draw's labels and presets.
+    """
+    for row in rows:
+        if len(row) != len(presets):
+            raise ConfigurationError(
+                f"{chip_id}: need {len(presets)} assignments, got {len(row)}"
+            )
+        for label, preset, assignment in zip(labels, presets, row):
+            if (
+                assignment.mode is MarginMode.ATM
+                and assignment.reduction_steps > preset
+            ):
+                raise ConfigurationError(
+                    f"{label}: reduction {assignment.reduction_steps} exceeds "
+                    f"preset {preset}"
+                )
+
+
 @dataclass(frozen=True)
 class SafetyViolation:
     """One core found unsafe in a steady-state safety check."""
@@ -156,20 +185,15 @@ class ChipSim:
     #: rounds — hitting this limit indicates a modeling bug.
     MAX_ITERATIONS = 200
 
-    def __init__(
-        self,
-        chip: ChipSpec,
-        thermal: ThermalModel | None = None,
-        *,
-        use_fastpath: bool = True,
-    ):
+    def __init__(self, chip: ChipSpec, thermal: ThermalModel | None = None):
         self._chip = chip
         self._pdn = PowerDeliveryNetwork(
             resistance_ohm=chip.pdn_resistance_ohm, vrm_voltage=chip.vrm_voltage
         )
         self._thermal = thermal if thermal is not None else ThermalModel()
-        self._use_fastpath = use_fastpath
         self._compiled: "CompiledChip | None" = None
+        self._labels = tuple(core.label for core in chip.cores)
+        self._presets = tuple(core.preset_code for core in chip.cores)
 
     @property
     def chip(self) -> ChipSpec:
@@ -195,35 +219,6 @@ class ChipSim:
 
             self._compiled = compile_chip(self._chip, self._thermal)
         return self._compiled
-
-    @property
-    def uses_fastpath(self) -> bool:
-        """Whether solves go through the vectorized fast path."""
-        return self._use_fastpath
-
-    def validate_assignments(
-        self, assignments: tuple[CoreAssignment, ...]
-    ) -> None:
-        """Reject malformed assignment vectors (length, reduction vs preset)."""
-        self._validate_assignments(assignments)
-
-    def _validate_assignments(
-        self, assignments: tuple[CoreAssignment, ...]
-    ) -> None:
-        if len(assignments) != self._chip.n_cores:
-            raise ConfigurationError(
-                f"{self._chip.chip_id}: need {self._chip.n_cores} assignments, "
-                f"got {len(assignments)}"
-            )
-        for core, assignment in zip(self._chip.cores, assignments):
-            if (
-                assignment.mode is MarginMode.ATM
-                and assignment.reduction_steps > core.preset_code
-            ):
-                raise ConfigurationError(
-                    f"{core.label}: reduction {assignment.reduction_steps} exceeds "
-                    f"preset {core.preset_code}"
-                )
 
     def _core_frequency(
         self,
@@ -286,10 +281,7 @@ class ChipSim:
         from ..fastpath.population import solve_chips_cached
 
         rows = [tuple(row) for row in assignment_rows]
-        for row in rows:
-            self._validate_assignments(row)
-        if not self._use_fastpath:
-            return [self.solve_steady_state_reference(row) for row in rows]
+        check_assignment_rows(self._chip.chip_id, self._labels, self._presets, rows)
         return solve_chips_cached([(self.compiled, rows, warm_start)])[0]
 
     def solve_steady_state_reference(
@@ -297,12 +289,14 @@ class ChipSim:
     ) -> ChipSteadyState:
         """Scalar reference implementation of the fixed-point solve.
 
-        Kept verbatim as the ground truth the vectorized fast path is
-        property-tested against (and as the fallback when the fast path is
-        disabled); not used on hot paths.
+        Kept verbatim as the ground truth the vectorized kernel
+        (:mod:`repro.fastpath.solver`) is property-tested against; no
+        production path calls it.
         """
         assignments = tuple(assignments)
-        self._validate_assignments(assignments)
+        check_assignment_rows(
+            self._chip.chip_id, self._labels, self._presets, (assignments,)
+        )
         vdd = self._chip.vrm_voltage
         temperature = self._thermal.ambient_c
         freqs = np.array(
@@ -368,7 +362,9 @@ class ChipSim:
         the violations found; an empty list means the schedule is safe.
         """
         assignments = tuple(assignments)
-        self._validate_assignments(assignments)
+        check_assignment_rows(
+            self._chip.chip_id, self._labels, self._presets, (assignments,)
+        )
         violations = []
         obs = get_obs()
         for core, assignment in zip(self._chip.cores, assignments):

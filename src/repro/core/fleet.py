@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..analysis.rendering import ascii_table
-from ..atm.chip_sim import CoreAssignment, MarginMode
+from ..atm.chip_sim import CoreAssignment, MarginMode, check_assignment_rows
 from ..atm.core_sim import check_noise_sigma
 from ..errors import ConfigurationError
 from ..fastpath.cache import reset_solve_cache
@@ -282,11 +282,15 @@ def _characterized_chunk(
             )
             corrupt_before = store.corrupt_entries
             payload = store.get(KIND_CHAR, key)
-            record = decode_char(payload) if payload is not None else None
             corrupt[position] = store.corrupt_entries - corrupt_before
+            if payload is None:
+                continue
+            record = decode_char(payload)
             if record is not None and record["labels"] == list(draw.labels):
                 records[position] = record
                 publish_store_counters(hits=1, corrupt=corrupt[position])
+            else:
+                store.reject(KIND_CHAR, key)
 
     cold = [position for position, record in enumerate(records) if record is None]
     fresh = characterize_chunk(
@@ -319,31 +323,6 @@ def _chunks(n_chips: int, chunk_size: int) -> list[range]:
         range(start, min(start + chunk_size, n_chips))
         for start in range(0, n_chips, chunk_size)
     ]
-
-
-def _validate_draw_rows(draw: ChipDraw, rows) -> None:
-    """Replicate :meth:`ChipSim.validate_assignments` against a raw draw.
-
-    The fleet never materializes a chip, so the same checks (and the
-    exact same error messages) run against the draw's preset codes.
-    """
-    for row in rows:
-        if len(row) != draw.n_cores:
-            raise ConfigurationError(
-                f"{draw.chip_id}: need {draw.n_cores} assignments, "
-                f"got {len(row)}"
-            )
-        for label, preset, assignment in zip(
-            draw.labels, draw.preset_codes, row
-        ):
-            if (
-                assignment.mode is MarginMode.ATM
-                and assignment.reduction_steps > preset
-            ):
-                raise ConfigurationError(
-                    f"{label}: reduction {assignment.reduction_steps} exceeds "
-                    f"preset {preset}"
-                )
 
 
 @dataclass(frozen=True)
@@ -535,6 +514,12 @@ def _process_chunk(
     (:func:`solve_chips_cached`) serves stored converged states from disk
     too, and every record a cold chip produces is written back.
     """
+    # One assignment object per distinct (mode, reduction) in the chunk,
+    # so each pays its first (memoized) hash in the solve memo once.
+    baseline_row = (
+        CoreAssignment(workload=IDLE, mode=mode, reduction_steps=reduction_steps),
+    ) * n_cores
+    tuned: dict[int, CoreAssignment] = {}
     entries = []
     per_chip = []
     for draw, idle, ubench, probes in _characterized_chunk(
@@ -544,16 +529,18 @@ def _process_chunk(
         n_cores=n_cores,
         noise_sigma_ps=noise_sigma_ps,
     ):
-        baseline_row = tuple(
-            CoreAssignment(workload=IDLE, mode=mode, reduction_steps=reduction_steps)
-            for _ in draw.labels
-        )
-        tuned_row = tuple(
-            CoreAssignment(workload=IDLE, reduction_steps=ubench[label].ubench_limit)
-            for label in draw.labels
-        )
-        _validate_draw_rows(draw, (baseline_row, tuned_row))
-        entries.append((compile_draw(draw), [baseline_row, tuned_row], None))
+        tuned_row = []
+        for label in draw.labels:
+            limit = ubench[label].ubench_limit
+            assignment = tuned.get(limit)
+            if assignment is None:
+                assignment = tuned[limit] = CoreAssignment(
+                    workload=IDLE, reduction_steps=limit
+                )
+            tuned_row.append(assignment)
+        rows = [baseline_row, tuple(tuned_row)]
+        check_assignment_rows(draw.chip_id, draw.labels, draw.preset_codes, rows)
+        entries.append((compile_draw(draw), rows, None))
         per_chip.append((draw, idle, ubench, probes))
 
     states = solve_chips_cached(entries)

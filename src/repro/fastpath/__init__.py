@@ -1,13 +1,14 @@
 """Array-native fast path for the chip steady-state solver.
 
-The scalar solver in :mod:`repro.atm.chip_sim` walks Python loops over
-cores inside every fixed-point iteration; every reproduced figure funnels
-through it, so those loops dominate wall-clock.  This package compiles a
-chip's silicon description into flat numpy arrays once
-(:class:`CompiledChip`), converges K candidate assignment vectors as array
-math with masked per-row convergence (:func:`solve_many_compiled`), and
-memoizes converged states by content-addressed chip fingerprint plus
-assignment tuple (:class:`SolveCache`).
+Every reproduced figure funnels through the chip steady-state solve.
+This package compiles a chip's silicon description into flat numpy
+arrays once (:class:`CompiledChip`), converges assignment rows with the
+one fixed-point kernel of :mod:`repro.fastpath.solver`, and memoizes
+converged states by content-addressed chip fingerprint plus assignment
+tuple (:class:`SolveCache`).  The kernel has two entries:
+:func:`solve_many_compiled` broadcasts one chip's arrays across its rows,
+and :func:`solve_population_compiled` gathers each row's parameters from
+a stacked :class:`CompiledPopulation`.
 
 Below the in-memory cache sits an optional disk layer
 (:class:`~repro.fastpath.store.SolveStore`): compiled tables, converged
@@ -17,10 +18,10 @@ sharing the mmap — skips compile and solve entirely.  Configure it with
 :func:`configure_store` (the fleet CLI's ``--solve-store``); it is off
 by default and changes no result bytes when on.
 
-The scalar implementation remains the reference: the fast path reproduces
-it within ~1e-12 MHz (property-tested bound 1e-9 MHz in
-``tests/fastpath``), and :meth:`repro.atm.chip_sim.ChipSim.
-solve_steady_state_reference` stays available for direct comparison.
+The scalar :meth:`repro.atm.chip_sim.ChipSim.solve_steady_state_reference`
+is the test oracle: the kernel reproduces it within ~1e-12 MHz
+(property-tested bound 1e-9 MHz in ``tests/fastpath``); no production
+path calls it.
 """
 
 from .cache import SolveCache, get_solve_cache, reset_solve_cache

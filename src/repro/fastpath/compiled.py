@@ -35,7 +35,7 @@ from ..silicon.chipspec import (
     CorePowerSpec,
 )
 from ..silicon.paths import PathTimingModel
-from ..units import AMBIENT_TEMPERATURE_C, NOMINAL_VDD
+from ..units import NOMINAL_VDD
 from .store import (
     KIND_COMPILED,
     compiled_key,
@@ -338,10 +338,40 @@ class CompiledChip:
             fingerprint=fingerprint,
         )
 
-    @property
-    def ambient_temperature_c(self) -> float:
-        """Ambient reference of the delay/leakage temperature terms."""
-        return AMBIENT_TEMPERATURE_C
+
+def _compile_through_store(
+    store, fingerprint: str, chip, thermal: ThermalModel, n_cores: int, build
+) -> CompiledChip:
+    """Serve a chip's tables from ``store``, or ``build()`` and write them.
+
+    The one store path of :func:`compile_chip` and :func:`compile_draw`:
+    a record that decodes to ``n_cores`` cores is rebuilt zero-copy
+    around ``chip`` and counted a hit; a missing or rejected record is
+    counted a miss in both the store's stats and the
+    ``fastpath.store.*`` counters, and the fresh compile is written back
+    (writable stores only).
+    """
+    key = compiled_key(fingerprint)
+    corrupt_before = store.corrupt_entries
+    payload = store.get(KIND_COMPILED, key)
+    if payload is not None:
+        tables = decode_compiled(payload)
+        if tables is not None and tables["n_cores"] == n_cores:
+            publish_store_counters(
+                hits=1, corrupt=store.corrupt_entries - corrupt_before
+            )
+            return CompiledChip.from_tables(
+                tables, chip=chip, thermal=thermal, fingerprint=fingerprint
+            )
+        store.reject(KIND_COMPILED, key)
+    result = build()
+    wrote = store.put(KIND_COMPILED, key, encode_compiled(result))
+    publish_store_counters(
+        misses=1,
+        writes=1 if wrote else 0,
+        corrupt=store.corrupt_entries - corrupt_before,
+    )
+    return result
 
 
 def compile_chip(
@@ -365,27 +395,14 @@ def compile_chip(
         return CompiledChip(chip, thermal, fingerprint=fingerprint)
     if fingerprint is None:
         fingerprint = fingerprint_of(chip, thermal)
-    key = compiled_key(fingerprint)
-    corrupt_before = store.corrupt_entries
-    payload = store.get(KIND_COMPILED, key)
-    result = None
-    if payload is not None:
-        tables = decode_compiled(payload)
-        if tables is not None and tables["n_cores"] == len(chip.cores):
-            result = CompiledChip.from_tables(
-                tables, chip=chip, thermal=thermal, fingerprint=fingerprint
-            )
-    wrote = False
-    if result is None:
-        result = CompiledChip(chip, thermal, fingerprint=fingerprint)
-        wrote = store.put(KIND_COMPILED, key, encode_compiled(result))
-    publish_store_counters(
-        hits=1 if payload is not None else 0,
-        misses=0 if payload is not None else 1,
-        writes=1 if wrote else 0,
-        corrupt=store.corrupt_entries - corrupt_before,
+    return _compile_through_store(
+        store,
+        fingerprint,
+        chip,
+        thermal,
+        len(chip.cores),
+        lambda: CompiledChip(chip, thermal, fingerprint=fingerprint),
     )
-    return result
 
 
 def compile_draw(draw, thermal: ThermalModel | None = None) -> CompiledChip:
@@ -402,29 +419,13 @@ def compile_draw(draw, thermal: ThermalModel | None = None) -> CompiledChip:
     """
     thermal = thermal if thermal is not None else ThermalModel()
     fingerprint = fingerprint_from_draw(draw, thermal)
+
+    def build() -> CompiledChip:
+        return CompiledChip.from_draw(draw, thermal=thermal, fingerprint=fingerprint)
+
     store = get_store()
     if store is None:
-        return CompiledChip.from_draw(draw, thermal=thermal, fingerprint=fingerprint)
-    key = compiled_key(fingerprint)
-    corrupt_before = store.corrupt_entries
-    payload = store.get(KIND_COMPILED, key)
-    if payload is not None:
-        tables = decode_compiled(payload)
-        if tables is not None and tables["n_cores"] == len(draw.labels):
-            publish_store_counters(
-                hits=1, corrupt=store.corrupt_entries - corrupt_before
-            )
-            return CompiledChip.from_tables(
-                tables,
-                chip=ChipRef(draw.chip_id),
-                thermal=thermal,
-                fingerprint=fingerprint,
-            )
-    result = CompiledChip.from_draw(draw, thermal=thermal, fingerprint=fingerprint)
-    wrote = store.put(KIND_COMPILED, key, encode_compiled(result))
-    publish_store_counters(
-        misses=1,
-        writes=1 if wrote else 0,
-        corrupt=store.corrupt_entries - corrupt_before,
+        return build()
+    return _compile_through_store(
+        store, fingerprint, ChipRef(draw.chip_id), thermal, len(draw.labels), build
     )
-    return result

@@ -1,13 +1,13 @@
 """Fleet-scale batched fixed point: converge many chips' rows at once.
 
-PR 3 made the steady-state solve array-native *within* one chip
-(:func:`repro.fastpath.solver.solve_many_compiled` converges K assignment
-rows against a single :class:`CompiledChip`); population-style studies —
-Table I / Fig. 7 limit distributions, sampled-fleet characterization —
-still re-entered the solver once per chip.  This module stacks N compiled
-chips into one :class:`CompiledPopulation` and converges the whole fleet's
-assignment batches as a single masked fixed point with per-(chip, row)
-convergence freezing and warm starts.
+Population-style studies (Table I / Fig. 7 limit distributions,
+sampled-fleet characterization) solve many chips, not just many rows of
+one chip.  This module stacks N compiled chips into one
+:class:`CompiledPopulation`, and :func:`solve_population_compiled`
+gathers each (chip, row)'s parameters from the stack and converges the
+whole fleet's rows with the one fixed-point kernel of
+:mod:`repro.fastpath.solver`, the same kernel the one-chip entry
+:func:`~repro.fastpath.solver.solve_many_compiled` feeds.
 
 Stacking and padding rules
 --------------------------
@@ -52,10 +52,9 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from ..errors import ConfigurationError, SimulationError
+from ..errors import ConfigurationError
 from ..obs.metrics import identity_tick
 from ..obs.runtime import get_obs
-from ..units import AMBIENT_TEMPERATURE_C, NOMINAL_VDD, STATIC_MARGIN_MHZ
 from .cache import get_solve_cache
 from .compiled import CompiledChip
 from .store import (
@@ -66,7 +65,40 @@ from .store import (
     publish_store_counters,
     state_key,
 )
-from .solver import MAX_ITERATIONS, TOLERANCE_MHZ, solve_many_compiled
+from .solver import (
+    CHIP_PARAMETERS,
+    MAX_ITERATIONS,
+    TOLERANCE_MHZ,
+    converge,
+    flatten_rows,
+    solve_many_compiled,
+)
+
+
+#: Per-core tables of a stacked population and the neutral value each
+#: holds in a phantom lane (base delay 1 ps, V_t 0, alpha 1, zero power
+#: coefficients): phantom lanes stay finite in every expression and the
+#: gate mask zeroes them before they can reach a result.
+_PHANTOM = {
+    "base_delay_ps": 1.0,
+    "v_threshold": 0.0,
+    "alpha": 1.0,
+    "nominal_alpha_factor": 1.0,
+    "temp_coeff": 0.0,
+    "leakage_w": 0.0,
+    "ceff_w_per_ghz": 0.0,
+    "leakage_temp_coeff": 0.0,
+}
+
+#: Per-chip scalars of a stacked population, one (N,) vector each.
+_CHIP_SCALARS = (
+    "slack_ps",
+    "vrm_voltage",
+    "pdn_resistance_ohm",
+    "uncore_power_w",
+    "ambient_c",
+    "thermal_resistance",
+)
 
 
 class CompiledPopulation:
@@ -82,244 +114,44 @@ class CompiledPopulation:
         "n_chips",
         "n_cores_max",
         "n_cores",
-        "core_active",
-        "base_delay_ps",
         "insert_table_ps",
-        "slack_ps",
-        "v_threshold",
-        "alpha",
-        "nominal_alpha_factor",
-        "temp_coeff",
-        "leakage_w",
-        "ceff_w_per_ghz",
-        "leakage_temp_coeff",
         "preset_code",
-        "vrm_voltage",
-        "pdn_resistance_ohm",
-        "uncore_power_w",
-        "ambient_c",
-        "thermal_resistance",
-        "fingerprints",
+        *_PHANTOM,
+        *_CHIP_SCALARS,
     )
 
     def __init__(self, chips: Sequence[CompiledChip]):
         if not chips:
             raise ConfigurationError("population must contain at least one chip")
         self.chips = tuple(chips)
-        n_chips = len(self.chips)
-        self.n_chips = n_chips
-        n_max = max(c.n_cores for c in self.chips)
+        n_chips = self.n_chips = len(self.chips)
+        n_max = self.n_cores_max = max(c.n_cores for c in self.chips)
         codes_max = max(c.insert_table_ps.shape[1] for c in self.chips)
-        self.n_cores_max = n_max
         self.n_cores = np.array([c.n_cores for c in self.chips], dtype=np.int64)
 
-        active = np.zeros((n_chips, n_max), dtype=bool)
-        # Neutral phantom physics: base delay 1 ps, V_t 0, alpha 1 — the
-        # phantom lanes stay finite in every expression and are zeroed by
-        # the gate mask before they can reach a result.
-        base_delay = np.ones((n_chips, n_max), dtype=np.float64)
+        for name, neutral in _PHANTOM.items():
+            table = np.full((n_chips, n_max), neutral)
+            for row, chip in enumerate(self.chips):
+                table[row, : chip.n_cores] = getattr(chip, name)
+            setattr(self, name, table)
         insert = np.zeros((n_chips, n_max, codes_max), dtype=np.float64)
-        v_threshold = np.zeros((n_chips, n_max), dtype=np.float64)
-        alpha = np.ones((n_chips, n_max), dtype=np.float64)
-        naf = np.ones((n_chips, n_max), dtype=np.float64)
-        temp_coeff = np.zeros((n_chips, n_max), dtype=np.float64)
-        leakage = np.zeros((n_chips, n_max), dtype=np.float64)
-        ceff = np.zeros((n_chips, n_max), dtype=np.float64)
-        leak_temp = np.zeros((n_chips, n_max), dtype=np.float64)
         preset = np.zeros((n_chips, n_max), dtype=np.int64)
-
         for row, chip in enumerate(self.chips):
             n = chip.n_cores
-            active[row, :n] = True
-            base_delay[row, :n] = chip.base_delay_ps
             table = chip.insert_table_ps
             insert[row, :n, : table.shape[1]] = table
             # Same padding rule as CompiledChip: short rows repeat their
             # final cumulative value out to the fleet-wide code range.
             insert[row, :n, table.shape[1]:] = table[:, -1:]
-            v_threshold[row, :n] = chip.v_threshold
-            alpha[row, :n] = chip.alpha
-            naf[row, :n] = chip.nominal_alpha_factor
-            temp_coeff[row, :n] = chip.temp_coeff
-            leakage[row, :n] = chip.leakage_w
-            ceff[row, :n] = chip.ceff_w_per_ghz
-            leak_temp[row, :n] = chip.leakage_temp_coeff
             preset[row, :n] = chip.preset_code
-
-        self.core_active = active
-        self.base_delay_ps = base_delay
         self.insert_table_ps = insert
-        self.slack_ps = np.array(
-            [c.slack_ps for c in self.chips], dtype=np.float64
-        )
-        self.v_threshold = v_threshold
-        self.alpha = alpha
-        self.nominal_alpha_factor = naf
-        self.temp_coeff = temp_coeff
-        self.leakage_w = leakage
-        self.ceff_w_per_ghz = ceff
-        self.leakage_temp_coeff = leak_temp
         self.preset_code = preset
-        self.vrm_voltage = np.array(
-            [c.vrm_voltage for c in self.chips], dtype=np.float64
-        )
-        self.pdn_resistance_ohm = np.array(
-            [c.pdn_resistance_ohm for c in self.chips], dtype=np.float64
-        )
-        self.uncore_power_w = np.array(
-            [c.uncore_power_w for c in self.chips], dtype=np.float64
-        )
-        self.ambient_c = np.array(
-            [c.ambient_c for c in self.chips], dtype=np.float64
-        )
-        self.thermal_resistance = np.array(
-            [c.thermal_resistance for c in self.chips], dtype=np.float64
-        )
-        self.fingerprints = tuple(c.fingerprint for c in self.chips)
-
-
-def _compile_population_rows(
-    population: CompiledPopulation,
-    row_specs: Sequence[tuple[int, tuple]],
-) -> dict:
-    """Flatten B (chip index, assignment tuple) rows into (B, n_max) arrays.
-
-    Alongside the per-row assignment tables this gathers every per-core
-    chip parameter the fixed point reads, so one iteration is pure array
-    math over (B, n_max) operands — bit-identical, lane for lane, to what
-    the per-chip solver computes for the same rows.
-    """
-    from ..atm.chip_sim import MarginMode
-
-    n_max = population.n_cores_max
-    b = len(row_specs)
-    chip_index = np.empty(b, dtype=np.intp)
-    atm = np.zeros((b, n_max), dtype=bool)
-    gated = np.zeros((b, n_max), dtype=bool)
-    code = np.zeros((b, n_max), dtype=np.int64)
-    cap = np.full((b, n_max), np.inf)
-    fixed_freq = np.zeros((b, n_max))
-    activity = np.zeros((b, n_max))
-    for row, (ci, assignments) in enumerate(row_specs):
-        if not (0 <= ci < population.n_chips):
-            raise ConfigurationError(
-                f"chip index must be in [0, {population.n_chips}), got {ci}"
+        for name in _CHIP_SCALARS:
+            setattr(
+                self,
+                name,
+                np.array([getattr(c, name) for c in self.chips], dtype=np.float64),
             )
-        chip_index[row] = ci
-        if len(assignments) != int(population.n_cores[ci]):
-            raise ConfigurationError(
-                f"chip {ci}: need {int(population.n_cores[ci])} assignments, "
-                f"got {len(assignments)}"
-            )
-        # Phantom lanes past this chip's core count stay gated.
-        gated[row, len(assignments):] = True
-        preset_row = population.preset_code[ci]
-        for col, assignment in enumerate(assignments):
-            activity[row, col] = assignment.workload.activity
-            if assignment.mode is MarginMode.ATM:
-                atm[row, col] = True
-                code[row, col] = preset_row[col] - assignment.reduction_steps
-                if assignment.freq_cap_mhz is not None:
-                    cap[row, col] = assignment.freq_cap_mhz
-            elif assignment.mode is MarginMode.GATED:
-                gated[row, col] = True
-            else:
-                fixed_freq[row, col] = (
-                    assignment.freq_cap_mhz
-                    if assignment.freq_cap_mhz is not None
-                    else STATIC_MARGIN_MHZ
-                )
-    cols = np.arange(n_max)
-    nominal_total = (
-        population.base_delay_ps[chip_index]
-        + population.insert_table_ps[chip_index[:, None], cols[None, :], code]
-        + population.slack_ps[chip_index][:, None]
-    )
-    return {
-        "atm": atm,
-        "gated": gated,
-        "cap": cap,
-        "fixed_freq": fixed_freq,
-        "activity": activity,
-        "nominal_total": nominal_total,
-        # Per-row gathers of the chips' own tables and scalars.
-        "v_threshold": population.v_threshold[chip_index],
-        "alpha": population.alpha[chip_index],
-        "nominal_alpha_factor": population.nominal_alpha_factor[chip_index],
-        "temp_coeff": population.temp_coeff[chip_index],
-        "leakage_w": population.leakage_w[chip_index],
-        "ceff_w_per_ghz": population.ceff_w_per_ghz[chip_index],
-        "leakage_temp_coeff": population.leakage_temp_coeff[chip_index],
-        "vrm_voltage": population.vrm_voltage[chip_index],
-        "pdn_resistance_ohm": population.pdn_resistance_ohm[chip_index],
-        "uncore_power_w": population.uncore_power_w[chip_index],
-        "ambient_c": population.ambient_c[chip_index],
-        "thermal_resistance": population.thermal_resistance[chip_index],
-        "chip_index": chip_index,
-    }
-
-
-def _population_frequencies(tables: dict, vdd, temperature):
-    """Per-core frequencies (B, n_max) at the given per-row operating points."""
-    v = vdd[:, None]
-    if np.any(v <= tables["v_threshold"]):
-        raise ConfigurationError(
-            "vdd fell below a core's threshold voltage during the solve"
-        )
-    actual = v / ((v - tables["v_threshold"]) ** tables["alpha"])
-    scale = (actual / tables["nominal_alpha_factor"]) * (
-        1.0
-        + tables["temp_coeff"] * (temperature[:, None] - AMBIENT_TEMPERATURE_C)
-    )
-    freqs = 1.0e6 / (tables["nominal_total"] * scale)
-    freqs = np.minimum(freqs, tables["cap"])
-    return np.where(tables["atm"], freqs, tables["fixed_freq"])
-
-
-def _population_power(tables: dict, freqs, vdd, temperature):
-    """Total chip power (B,) — phantom and gated lanes contribute nothing."""
-    v_ratio_sq = (vdd / NOMINAL_VDD) ** 2
-    power_freqs = np.where(freqs > 0.0, freqs, STATIC_MARGIN_MHZ)
-    dynamic = (
-        tables["ceff_w_per_ghz"]
-        * tables["activity"]
-        * v_ratio_sq[:, None]
-        * (power_freqs / 1000.0)
-    )
-    leakage = (
-        tables["leakage_w"]
-        * v_ratio_sq[:, None]
-        * (
-            1.0
-            + tables["leakage_temp_coeff"]
-            * (temperature[:, None] - AMBIENT_TEMPERATURE_C)
-        )
-    )
-    per_core = np.where(tables["gated"], 0.0, dynamic + leakage)
-    return tables["uncore_power_w"] + per_core.sum(axis=1)
-
-
-#: Keys of the (B, ...) arrays that convergence masking must slice.
-_ROW_KEYS = (
-    "atm",
-    "gated",
-    "cap",
-    "fixed_freq",
-    "activity",
-    "nominal_total",
-    "v_threshold",
-    "alpha",
-    "nominal_alpha_factor",
-    "temp_coeff",
-    "leakage_w",
-    "ceff_w_per_ghz",
-    "leakage_temp_coeff",
-    "vrm_voltage",
-    "pdn_resistance_ohm",
-    "uncore_power_w",
-    "ambient_c",
-    "thermal_resistance",
-)
 
 
 def solve_population_compiled(
@@ -332,102 +164,76 @@ def solve_population_compiled(
 ) -> list:
     """Converge B (chip, assignment vector) rows as one masked fixed point.
 
-    ``warm_freqs`` optionally carries one per-row frequency vector (or
-    ``None``) to seed that row's ATM lanes.  Returns one
+    Gathers each row's chip parameters from ``population`` and runs the
+    :mod:`repro.fastpath.solver` kernel over them.  ``warm_freqs``
+    optionally carries one per-row frequency vector (or ``None``) to
+    seed that row's ATM lanes.  Returns one
     :class:`~repro.atm.chip_sim.ChipSteadyState` per row, in input order,
     with frequencies sliced back to each chip's own core count.  Raises
     :class:`SimulationError` if any row fails to converge.
     """
-    from ..atm.chip_sim import ChipSteadyState
-
     if not row_specs:
         return []
     if warm_freqs is not None and len(warm_freqs) != len(row_specs):
         raise ConfigurationError(
             "warm_freqs must supply one entry (or None) per row"
         )
-    tables = _compile_population_rows(population, row_specs)
     b = len(row_specs)
     n_max = population.n_cores_max
-    chip_index = tables["chip_index"]
+    n_cores = population.n_cores.tolist()
+    chip_index = np.empty(b, dtype=np.intp)
+    for row, (ci, assignments) in enumerate(row_specs):
+        if not (0 <= ci < population.n_chips):
+            raise ConfigurationError(
+                f"chip index must be in [0, {population.n_chips}), got {ci}"
+            )
+        if len(assignments) != n_cores[ci]:
+            raise ConfigurationError(
+                f"chip {ci}: need {n_cores[ci]} assignments, "
+                f"got {len(assignments)}"
+            )
+        chip_index[row] = ci
+    rows = [assignments for _ci, assignments in row_specs]
+    presets = population.preset_code.tolist()
+    tables = flatten_rows(
+        rows, [presets[ci] for ci, _row in row_specs], n_max
+    )
+    tables["nominal_total"] = (
+        population.base_delay_ps[chip_index]
+        + population.insert_table_ps[
+            chip_index[:, None], np.arange(n_max)[None, :], tables.pop("code")
+        ]
+        + population.slack_ps[chip_index][:, None]
+    )
+    for name in CHIP_PARAMETERS:
+        tables[name] = getattr(population, name)[chip_index]
 
-    vdd = tables["vrm_voltage"].copy()
-    temperature = tables["ambient_c"].copy()
-    freqs = _population_frequencies(tables, vdd, temperature)
+    warm_matrix = None
     if warm_freqs is not None:
-        warm_matrix = np.zeros((b, n_max))
-        seeded = np.zeros(b, dtype=bool)
         for row, warm in enumerate(warm_freqs):
             if warm is None:
                 continue
             warm_row = np.asarray(warm, dtype=np.float64)
-            n = int(population.n_cores[chip_index[row]])
+            n = len(rows[row])
             if warm_row.shape != (n,):
                 raise ConfigurationError(
                     f"warm start for row {row} must carry {n} core frequencies"
                 )
+            if warm_matrix is None:
+                # Unseeded rows and phantom lanes stay 0.0, which the
+                # kernel never seeds from.
+                warm_matrix = np.zeros((b, n_max))
             warm_matrix[row, :n] = warm_row
-            seeded[row] = True
-        if seeded.any():
-            warm_rows = np.minimum(warm_matrix, tables["cap"])
-            freqs = np.where(
-                seeded[:, None] & tables["atm"] & (warm_rows > 0.0),
-                warm_rows,
-                freqs,
-            )
 
-    power = np.zeros(b)
-    iterations = np.zeros(b, dtype=np.int64)
-    active = np.ones(b, dtype=bool)
-
-    for iteration in range(1, max_iterations + 1):
-        idx = np.nonzero(active)[0]
-        sub = {key: tables[key][idx] for key in _ROW_KEYS}
-        sub_power = _population_power(
-            sub, freqs[idx], vdd[idx], temperature[idx]
-        )
-        sub_vdd = sub["vrm_voltage"] - (
-            sub["pdn_resistance_ohm"] * sub_power / sub["vrm_voltage"]
-        )
-        if np.any(sub_vdd <= 0.0):
-            raise ConfigurationError(
-                "chip load collapses the supply during the solve"
-            )
-        sub_temp = sub["ambient_c"] + sub["thermal_resistance"] * sub_power
-        new_freqs = _population_frequencies(sub, sub_vdd, sub_temp)
-        delta = np.max(np.abs(new_freqs - freqs[idx]), axis=1)
-
-        freqs[idx] = new_freqs
-        power[idx] = sub_power
-        vdd[idx] = sub_vdd
-        temperature[idx] = sub_temp
-        converged = delta < tolerance_mhz
-        iterations[idx[converged]] = iteration
-        active[idx[converged]] = False
-        if not active.any():
-            break
-    else:
-        stuck = int(np.nonzero(active)[0][0])
-        chip_id = population.chips[chip_index[stuck]].chip.chip_id
-        raise SimulationError(
-            f"{chip_id}: steady-state solve did not converge in "
-            f"{max_iterations} iterations"
-        )
-
-    states = []
-    for row in range(b):
-        n = int(population.n_cores[chip_index[row]])
-        states.append(
-            ChipSteadyState(
-                freqs_mhz=tuple(float(f) for f in freqs[row, :n]),
-                chip_power_w=float(power[row]),
-                vdd=float(vdd[row]),
-                temperature_c=float(temperature[row]),
-                iterations=int(iterations[row]),
-                assignments=tuple(row_specs[row][1]),
-            )
-        )
-    return states
+    return converge(
+        tables,
+        {},
+        rows,
+        warm=warm_matrix,
+        chip_id_of=lambda row: population.chips[chip_index[row]].chip.chip_id,
+        tolerance_mhz=tolerance_mhz,
+        max_iterations=max_iterations,
+    )
 
 
 def _solve_batch(
@@ -451,6 +257,8 @@ def _solve_batch(
             payload = store.get(KIND_STATE, store_keys[slot])
             if payload is not None:
                 solved[slot] = decode_state(payload, row)
+                if solved[slot] is None:
+                    store.reject(KIND_STATE, store_keys[slot])
     live = [slot for slot, state in enumerate(solved) if state is None]
 
     # Strategy choice (one-chip batch vs population stack) and the
@@ -471,11 +279,7 @@ def _solve_batch(
         live_solved = solve_population_compiled(
             CompiledPopulation([entries[ei][0] for ei in entry_order]),
             [(chip_of_entry[batch[slot][0]], batch[slot][1]) for slot in live],
-            warm_freqs=(
-                [None if w is None else w.freqs_mhz for w in warms]
-                if any(w is not None for w in warms)
-                else None
-            ),
+            warm_freqs=[None if w is None else w.freqs_mhz for w in warms],
         )
     for slot, state in zip(live, live_solved):
         solved[slot] = state
@@ -598,18 +402,17 @@ def solve_population(
             f"need one warm start (or None) per chip: {len(sims)} chips, "
             f"{len(warm_starts)} warm starts"
         )
+    from ..atm.chip_sim import check_assignment_rows
+
     warms = list(warm_starts) if warm_starts is not None else [None] * len(sims)
-    if not all(sim.uses_fastpath for sim in sims):
-        # Reference-solver sims cannot join a batched solve; fall back to
-        # the loop the contract is defined against.
-        return [
-            sim.solve_many(rows, warm_start=warm)
-            for sim, rows, warm in zip(sims, rows_per_chip, warms)
-        ]
     entries = []
     for sim, rows, warm in zip(sims, rows_per_chip, warms):
         tuples = [tuple(row) for row in rows]
-        for row in tuples:
-            sim.validate_assignments(row)
+        check_assignment_rows(
+            sim.chip.chip_id,
+            [core.label for core in sim.chip.cores],
+            [core.preset_code for core in sim.chip.cores],
+            tuples,
+        )
         entries.append((sim.compiled, tuples, warm))
     return solve_chips_cached(entries)

@@ -225,7 +225,8 @@ class SolveStore:
 
         The returned memoryview aliases the read-only mmap — callers may
         build numpy views on it zero-copy, and must not assume it stays
-        valid across :meth:`prune` or :meth:`close`.
+        valid across :meth:`prune` or :meth:`close`.  A caller whose
+        decoder then refuses the payload calls :meth:`reject`.
         """
         view = self._load(kind, key)
         if view is None:
@@ -235,6 +236,20 @@ class SolveStore:
         self.hits += 1
         self.kind_hits[kind] += 1
         return view
+
+    def reject(self, kind: int, key: bytes) -> None:
+        """Recount the :meth:`get` that just found ``(kind, key)`` as a miss.
+
+        For a record whose decoder refused it (layout or shape mismatch):
+        the caller recomputes, so the read served nothing.  The entry is
+        forgotten, as a failed checksum's is, so the next read misses at
+        once unless the recomputed record is written back.
+        """
+        self.hits -= 1
+        self.kind_hits[kind] -= 1
+        self.misses += 1
+        self.kind_misses[kind] += 1
+        self._index.pop((kind, key), None)
 
     def contains(self, kind: int, key: bytes) -> bool:
         """Index membership without touching counters (no payload check)."""

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.atm.chip_sim import MarginMode
+from repro.atm.chip_sim import ChipSim, MarginMode
 from repro.core import fleet
 from repro.core.fleet import (
     DEFAULT_CHUNK_SIZE,
@@ -17,6 +17,7 @@ from repro.errors import ConfigurationError
 from repro.obs.runtime import Observability, observed
 from repro.obs.sinks import RingBufferSink
 from repro.obs.stream.gates import quantile_from_counts
+from repro.silicon.chipspec import draw_chips
 
 
 class TestQuantileFromCounts:
@@ -81,6 +82,22 @@ class TestFleetValidation:
             characterize_fleet(8, noise_sigma_ps=sigma)
         with pytest.raises(ConfigurationError, match="noise_sigma_ps"):
             collect_chip_stats(8, noise_sigma_ps=sigma)
+
+    def test_reduction_past_a_preset_reads_as_on_chip_sim(self):
+        # The fleet checks its rows against the draw, ChipSim against the
+        # materialized chip: one check, one message.
+        draw = draw_chips(2019, range(1), n_cores=2)[0]
+        steps = max(draw.preset_codes) + 1
+        with pytest.raises(ConfigurationError) as fleet_error:
+            characterize_fleet(1, trials=1, n_cores=2, reduction_steps=steps)
+        sim = ChipSim(draw.materialize())
+        with pytest.raises(ConfigurationError) as sim_error:
+            sim.solve_many([sim.uniform_assignments(reduction_steps=steps)])
+        assert str(fleet_error.value) == str(sim_error.value)
+        assert str(sim_error.value) == (
+            f"{draw.labels[0]}: reduction {steps} exceeds preset "
+            f"{draw.preset_codes[0]}"
+        )
 
 
 class TestCharacterizeFleet:

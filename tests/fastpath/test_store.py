@@ -16,9 +16,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.atm.chip_sim import ChipSim
 from repro.core.char_record import char_key
+from repro.core.fleet import characterize_fleet
 from repro.errors import ConfigurationError
+from repro.fastpath.cache import reset_solve_cache
 from repro.fastpath.compiled import (
     CompiledChip,
+    compile_chip,
     compile_draw,
     fingerprint_from_draw,
     fingerprint_of,
@@ -40,6 +43,9 @@ from repro.fastpath.store import (
     reset_store,
     state_key,
 )
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.runtime import Observability, observed
+from repro.obs.sinks import NullSink
 from repro.silicon.chipspec import ChipSpec, CoreSpec, draw_chip, draw_chips, sample_chip
 from repro.silicon.paths import PathTimingModel
 from repro.silicon.process import ProcessVariationModel
@@ -444,3 +450,83 @@ class TestGlobalStore:
             state_key(fp, row_a, state),
         }
         assert len(keys) == 3
+
+
+class TestRejectedRecords:
+    """A record its decoder refuses reads as a miss in both ledgers.
+
+    ``store.stats()`` and the ``fastpath.store.*`` counters must agree
+    that the read served nothing, and the recomputed result must be the
+    one a run without a store produces.
+    """
+
+    @staticmethod
+    def _observed(run):
+        obs = Observability(NullSink(), metrics=MetricsRegistry())
+        with observed(obs):
+            result = run()
+        counters = {
+            name: obs.metrics.counter(f"fastpath.store.{name}").value
+            for name in ("hits", "misses")
+        }
+        return result, counters
+
+    @pytest.mark.parametrize("entry", ["compile_chip", "compile_draw"])
+    def test_compiled(self, tmp_path, entry):
+        draw = draw_chip(2019, chip_id="R0")
+        expected = encode_compiled(CompiledChip(draw.materialize()))
+        store = configure_store(tmp_path / "store")
+        key = compiled_key(fingerprint_from_draw(draw))
+        store.put(KIND_COMPILED, key, bytes(64))
+        run = {
+            "compile_chip": lambda: compile_chip(draw.materialize()),
+            "compile_draw": lambda: compile_draw(draw),
+        }[entry]
+        compiled, counters = self._observed(run)
+        assert encode_compiled(compiled) == expected
+        stats = store.stats()
+        assert (stats["hits"], stats["misses"]) == (0, 1)
+        assert (stats["compiled_hits"], stats["compiled_misses"]) == (0, 1)
+        assert counters == {"hits": 0, "misses": 1}
+        # The recompiled record replaced the rejected one.
+        assert bytes(store.get(KIND_COMPILED, key)) == expected
+
+    def test_state(self, tmp_path):
+        sim = ChipSim(sample_chip(2019, chip_id="R0"))
+        row = sim.uniform_assignments()
+        reset_solve_cache()
+        expected = sim.solve_steady_state(row)
+        store = configure_store(tmp_path / "store")
+        store.put(KIND_STATE, state_key(sim.compiled.fingerprint, row, None), bytes(8))
+        reset_solve_cache()
+        state, counters = self._observed(lambda: sim.solve_steady_state(row))
+        reset_solve_cache()
+        assert state == expected
+        stats = store.stats()
+        assert (stats["hits"], stats["misses"]) == (0, 1)
+        assert (stats["state_hits"], stats["state_misses"]) == (0, 1)
+        assert counters == {"hits": 0, "misses": 1}
+
+    def test_char(self, tmp_path):
+        fleet = {"seed": 2019, "trials": 1, "n_cores": 2}
+        reset_solve_cache()
+        expected = characterize_fleet(1, **fleet).to_dict()
+        draw = draw_chips(2019, range(1), n_cores=2)[0]
+        key = char_key(
+            draw,
+            seed=2019,
+            trials=1,
+            repeats_per_step=2,
+            noise_sigma_ps=0.1,
+            workloads=(IDLE, *UBENCH_SUITE),
+        )
+        store = configure_store(tmp_path / "store")
+        store.put(KIND_CHAR, key, bytes(64))
+        reset_solve_cache()
+        report, counters = self._observed(lambda: characterize_fleet(1, **fleet))
+        reset_solve_cache()
+        assert report.to_dict() == expected
+        stats = store.stats()
+        assert (stats["char_hits"], stats["char_misses"]) == (0, 1)
+        assert stats["hits"] == 0
+        assert counters["hits"] == 0

@@ -300,6 +300,12 @@ rm -rf "$flame_tmp"
 echo "== tier-1 pytest =="
 python -m pytest -x -q || failures=$((failures + 1))
 
+echo "== solver benches (scalar reference, one-chip and fleet entries) =="
+# Runs each bench body once, untimed: the only check outside tests/ that
+# drives the scalar reference, solve_many and solve_population.
+python -m pytest -q --benchmark-disable benchmarks/bench_fastpath_solver.py \
+    benchmarks/bench_fleet_population.py || failures=$((failures + 1))
+
 echo "== e2e benchmark harness tests =="
 # Tier-1 collects only tests/; the benchmark taps repro entry points by
 # name (benchmarks/e2e/spans.py), so renaming one must fail here.
