@@ -35,24 +35,19 @@ import hashlib
 import json
 import struct
 from collections.abc import Iterator, Sequence
-from itertools import chain
+from functools import lru_cache
 
 import numpy as np
 
-from ..analysis.stats import summarize
 from ..atm.failure import FailureModel
 from ..fastpath.store import get_store
 from ..obs.events import CpmStepEvent, RollbackEvent
 from ..obs.runtime import get_obs
 from ..rng import seeded_streams
-from ..silicon.chipspec import ChipDraw
+from ..silicon.chipspec import ChipDraw, draw_columns
 from ..workloads.base import IDLE
 from ..workloads.ubench import UBENCH_SUITE
-from .characterize import (
-    IdleCharacterization,
-    UbenchCharacterization,
-    trial_stream_name,
-)
+from .characterize import trial_stream_name
 
 #: Version of the payload layout below (bump on any byte-level change).
 CHAR_LAYOUT = 1
@@ -77,6 +72,10 @@ OPS_DTYPE = np.dtype(
         ("slack", "<f8"),
     ]
 )
+
+#: Most cores a record can hold: ``OPS_DTYPE`` stores a core index in
+#: one byte.
+MAX_CORES = int(np.iinfo(OPS_DTYPE["core"]).max) + 1
 
 _PREFIX = struct.Struct("<II")  # layout, header length
 
@@ -217,16 +216,20 @@ def decode_char(payload: bytes) -> dict | None:
 
 def replay_characterization(
     record: dict, obs
-) -> tuple[dict[str, IdleCharacterization], dict[str, UbenchCharacterization], int]:
+) -> tuple[list[int], list[int], int]:
     """Reproduce a recorded characterization's results and telemetry.
 
-    Returns the same ``(idle, ubench, probe_count)`` triple the live
-    idle → uBench stages produce, and emits exactly the telemetry a live
-    run would have: per-probe ``CpmStepEvent`` and per-program
-    ``RollbackEvent`` in recorded order when events are captured, and
-    the ``probe.total`` / ``probe.failures`` counts whenever metrics are
-    on (counters are plain sums, so one increment per record leaves the
-    registry as one per probe would); nothing when observability is dark.
+    Returns, per core in label order, the idle limit (the lowest idle
+    outcome over the trials) and the worst uBench rollback (the highest
+    over the trials), plus the probe count: the values the live idle →
+    uBench stages' ``IdleCharacterization.idle_limit`` and
+    ``UbenchCharacterization.rollback_distribution.maximum`` hold, as
+    plain lists.  Emits exactly the telemetry a live run would have:
+    per-probe ``CpmStepEvent`` and per-program ``RollbackEvent`` in
+    recorded order when events are captured, and the ``probe.total`` /
+    ``probe.failures`` counts whenever metrics are on (counters are plain
+    sums, so one increment per record leaves the registry as one per
+    probe would); nothing when observability is dark.
     """
     labels = record["labels"]
     if obs.events_enabled:
@@ -265,22 +268,12 @@ def replay_characterization(
         metrics = obs.metrics
         metrics.counter("probe.total").inc(record["probes"])
         metrics.counter("probe.failures").inc(record["failures"])
-
-    idle: dict[str, IdleCharacterization] = {}
-    ubench: dict[str, UbenchCharacterization] = {}
-    for label in labels:
-        idle[label] = IdleCharacterization(
-            core_label=label,
-            distribution=summarize([int(v) for v in record["idle"][label]]),
-        )
-        ubench[label] = UbenchCharacterization(
-            core_label=label,
-            idle_limit=idle[label].idle_limit,
-            rollback_distribution=summarize(
-                [int(v) for v in record["rollbacks"][label]]
-            ),
-        )
-    return idle, ubench, int(record["probes"])
+    idle, rollbacks = record["idle"], record["rollbacks"]
+    return (
+        [min(idle[label]) for label in labels],
+        [max(rollbacks[label]) for label in labels],
+        int(record["probes"]),
+    )
 
 
 def characterize_chunk(
@@ -308,7 +301,8 @@ def characterize_chunk(
     No spec object is built.  The walks read one slack block
     (:func:`_slack_block`): every core's
     :meth:`~repro.silicon.chipspec.CoreSpec.slack_row` under each distinct
-    stress, computed from the draws at once.  Nothing reads an idle
+    stress, computed at once from the draws' stacked block rows
+    (:func:`~repro.silicon.chipspec.draw_columns`).  Nothing reads an idle
     stream after its walk, so every idle trial of the chunk runs in one
     array pass (:func:`_idle_trials`): one noise draw per trial added to
     its core's gathered slack row, the first failing probe of each trial
@@ -323,9 +317,7 @@ def characterize_chunk(
     store = get_store()
     keep_ops = get_obs().events_enabled or (store is not None and store.writable)
     stresses = (IDLE.stress, *(program.stress for program in UBENCH_SUITE))
-    presets = np.array(
-        [preset for draw in draws for preset in draw.preset_codes], dtype=np.int64
-    )
+    presets = draw_columns(draws, "preset_codes").ravel()
     block = _slack_block(draws, presets, stresses)
     slack, starts, idle_probes, idle_best, failed = _idle_trials(
         block[IDLE.stress],
@@ -405,9 +397,10 @@ def characterize_chunk(
 def _slack_block(draws, presets, stresses) -> dict[float, np.ndarray]:
     """Every core's slack row under each distinct stress in ``stresses``.
 
-    Cores run chip by chip, core by core, one row each; ``presets`` holds
-    their preset codes, and a row has one column per reduction up to the
-    chunk's largest preset.  Column ``k <= preset`` of a core's row is
+    Cores run chip by chip, core by core, one row each, stacked from the
+    draws' block rows; ``presets`` holds their preset codes, and a row
+    has one column per reduction up to the chunk's largest preset.
+    Column ``k <= preset`` of a core's row is
     ``CoreSpec.slack_row(stress)[k]`` bit for bit: the inserted-delay
     prefix sums accumulate left to right from 0.0 (``np.add.accumulate``,
     as ``CoreSpec`` adds them), and each element is ``headroom - (cum[p] -
@@ -415,9 +408,9 @@ def _slack_block(draws, presets, stresses) -> dict[float, np.ndarray]:
     requirement interpolated as :func:`_requirements` does.  Columns past
     a core's preset repeat its last element; no walk reads them.
     """
-    widths = np.array([row for draw in draws for row in draw.step_widths_ps])
-    curves = np.array([curve for draw in draws for curve in draw.stress_curves])
-    headroom = np.array([ps for draw in draws for ps in draw.headroom_ps])[:, None]
+    widths = draw_columns(draws, "step_widths_ps").reshape(presets.size, -1)
+    curves = draw_columns(draws, "stress_curves").reshape(presets.size, -1, 2)
+    headroom = draw_columns(draws, "headroom_ps").reshape(presets.size, 1)
     steps = np.zeros((presets.size, widths.shape[1] + 1))
     steps[:, 1:] = widths
     cum = np.add.accumulate(steps, axis=1)
@@ -597,7 +590,7 @@ def char_key(
     byte length of each string and the length of each core's tables lead
     as little-endian int64, every float follows as its little-endian
     float64 bytes, and the strings close as UTF-8 (the seed as decimal,
-    so any size packs).
+    so any size packs).  The draw's values are its block row's bytes.
     """
     workloads = tuple(workloads)
     text = [
@@ -605,22 +598,28 @@ def char_key(
         *(workload.name.encode() for workload in workloads),
         *(label.encode() for label in draw.labels),
     ]
-    ints = (
-        trials,
-        repeats_per_step,
-        len(workloads),
-        len(draw.labels),
-        *map(len, text),
-        *draw.preset_codes,
-        *map(len, draw.step_widths_ps),
-        *map(len, draw.stress_curves),
-    )
-    floats = (
-        noise_sigma_ps,
-        *(workload.stress for workload in workloads),
-        *draw.headroom_ps,
-        *chain.from_iterable(draw.step_widths_ps),
-        *chain.from_iterable(chain.from_iterable(draw.stress_curves)),
-    )
-    packed = struct.pack(f"<{len(ints)}q{len(floats)}d", *ints, *floats)
-    return hashlib.sha256(_KEY_VERSION + packed + b"".join(text)).digest()
+    block, row = draw.block, draw.row
+    widths, curves = block.step_widths_ps[row], block.stress_curves[row]
+    counts = (trials, repeats_per_step, len(workloads), len(draw.labels), *map(len, text))
+    params = (noise_sigma_ps, *(workload.stress for workload in workloads))
+    return hashlib.sha256(
+        b"".join(
+            (
+                _KEY_VERSION,
+                struct.pack(f"<{len(counts)}q", *counts),
+                block.preset_codes[row].tobytes(),
+                _table_lengths(len(widths), widths.shape[1], curves.shape[1]),
+                struct.pack(f"<{len(params)}d", *params),
+                block.headroom_ps[row].tobytes(),
+                widths.tobytes(),
+                curves.tobytes(),
+                *text,
+            )
+        )
+    ).digest()
+
+
+@lru_cache(maxsize=64)
+def _table_lengths(n_cores: int, n_steps: int, n_anchors: int) -> bytes:
+    """Each core's step-width count, then its stress-anchor count, packed."""
+    return np.repeat(np.array([n_steps, n_anchors], "<i8"), n_cores).tobytes()

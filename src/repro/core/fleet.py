@@ -25,6 +25,7 @@ sealed into a standard run manifest (:func:`run_fleet_observed`).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -51,10 +52,11 @@ from ..obs.stream.gates import quantile_from_counts
 from ..obs.stream.progress import ProgressReporter
 from ..obs.stream.rotate import RotatingJsonlSink
 from ..obs.tsdb.series import Tsdb
-from ..silicon.chipspec import CORES_PER_CHIP, ChipDraw, draw_chips
+from ..silicon.chipspec import CORES_PER_CHIP, ChipDraw, draw_chips, draw_columns
 from ..workloads.base import IDLE
 from ..workloads.ubench import UBENCH_SUITE
 from .char_record import (
+    MAX_CORES,
     char_key,
     characterize_chunk,
     decode_char,
@@ -220,6 +222,9 @@ def _validate_fleet_args(
         raise ConfigurationError(f"trials must be >= 1, got {trials}")
     if n_cores < 1:
         raise ConfigurationError(f"cores must be >= 1, got {n_cores}")
+    if n_cores > MAX_CORES:
+        # A characterization record stores a core index in one byte.
+        raise ConfigurationError(f"cores must be <= {MAX_CORES}, got {n_cores}")
     if reduction_steps < 0:
         raise ConfigurationError(
             f"reduction_steps must be >= 0, got {reduction_steps}"
@@ -239,33 +244,34 @@ _FLEET_REPEATS_PER_STEP = 2
 
 
 def _characterized_chunk(
+    draws: Sequence[ChipDraw],
     chunk: range,
     *,
     seed: int,
     trials: int,
-    n_cores: int,
     noise_sigma_ps: float,
 ):
-    """Draw and characterize one chunk (the Fig. 6 idle → uBench stages).
+    """Characterize one drawn chunk (the Fig. 6 idle → uBench stages).
 
-    Fleet chip ``index`` is ``draw_chip(seed + index)``, characterized as
-    a :class:`~repro.core.characterize.Characterizer` seeded
-    ``seed + index`` would characterize it — the shared per-chip recipe
-    of :func:`characterize_fleet` and :func:`collect_chip_stats`, so both
+    Fleet chip ``index`` is ``draw_chip(seed + index)`` (``draws`` holds
+    the chunk's, from :func:`draw_chips`), characterized as a
+    :class:`~repro.core.characterize.Characterizer` seeded ``seed +
+    index`` would characterize it — the shared per-chip recipe of
+    :func:`characterize_fleet` and :func:`collect_chip_stats`, so both
     observe identical chips (and emit identical event streams) for a
     given seed.
 
-    Yields ``(draw, idle, ubench, probes)`` chip by chip, in order.
-    Every chip is served through :func:`replay_characterization`: a chip
-    whose record the persistent store holds replays it; the other (cold)
-    chips are characterized together, straight from their draws, by
-    :func:`characterize_chunk`, one record at a time, and each cold
-    record is written back (writable stores only) just before its chip
-    is yielded, so the store receives a chip's records in chip order,
-    interleaved with whatever the caller writes for the chip.  No spec
-    object is built either way.
+    Yields ``(idle_limits, rollbacks, probes)`` chip by chip, in order:
+    per core, the idle limit and the worst uBench rollback, and the
+    chip's probe count, as :func:`replay_characterization` returns them.
+    Every chip is served through it: a chip whose record the persistent
+    store holds replays it; the other (cold) chips are characterized
+    together, straight from their draws, by :func:`characterize_chunk`,
+    one record at a time, and each cold record is written back (writable
+    stores only) just before its chip is yielded, so the store receives
+    a chip's records in chip order, interleaved with whatever the caller
+    writes for the chip.  No spec object is built either way.
     """
-    draws = draw_chips(seed, chunk, n_cores=n_cores)
     store = get_store()
     records: list[dict | None] = [None] * len(draws)
     keys: list[bytes | None] = [None] * len(draws)
@@ -301,8 +307,7 @@ def _characterized_chunk(
         noise_sigma_ps=noise_sigma_ps,
     )
     obs = get_obs()
-    for position, draw in enumerate(draws):
-        record = records[position]
+    for position, record in enumerate(records):
         if record is None:
             record, payload = next(fresh)
             if store is not None:
@@ -312,8 +317,7 @@ def _characterized_chunk(
                 publish_store_counters(
                     misses=1, writes=1 if wrote else 0, corrupt=corrupt[position]
                 )
-        idle, ubench, probes = replay_characterization(record, obs)
-        yield draw, idle, ubench, probes
+        yield replay_characterization(record, obs)
 
 
 def _chunks(n_chips: int, chunk_size: int) -> list[range]:
@@ -386,43 +390,41 @@ def collect_chip_stats(
     _validate_fleet_args(
         n_chips, 1, trials, n_cores, MarginMode.ATM, 0, noise_sigma_ps
     )
-    # One chunk of chips alive at a time keeps memory O(chunk size).
-    characterized = (
-        chip
-        for chunk in _chunks(n_chips, DEFAULT_CHUNK_SIZE)
-        for chip in _characterized_chunk(
-            chunk,
-            seed=seed,
-            trials=trials,
-            n_cores=n_cores,
-            noise_sigma_ps=noise_sigma_ps,
-        )
-    )
     stats = []
-    for draw, idle, ubench, probes in characterized:
-        idle_counts: dict[int, int] = {}
-        ubench_counts: dict[int, int] = {}
-        rollback_counts: dict[int, int] = {}
-        for label in draw.labels:
-            limit = idle[label].idle_limit
-            ub = ubench[label]
-            idle_counts[limit] = idle_counts.get(limit, 0) + 1
-            ubench_counts[ub.ubench_limit] = (
-                ubench_counts.get(ub.ubench_limit, 0) + 1
+    # One chunk of chips alive at a time keeps memory O(chunk size).
+    for chunk in _chunks(n_chips, DEFAULT_CHUNK_SIZE):
+        draws = draw_chips(seed, chunk, n_cores=n_cores)
+        for draw, (idle, rollbacks, probes) in zip(
+            draws,
+            _characterized_chunk(
+                draws,
+                chunk,
+                seed=seed,
+                trials=trials,
+                noise_sigma_ps=noise_sigma_ps,
+            ),
+        ):
+            stats.append(
+                ChipStats(
+                    chip_id=draw.chip_id,
+                    n_cores=draw.n_cores,
+                    idle_limit_counts=_tally({}, idle),
+                    ubench_limit_counts=_tally(
+                        {}, [limit - back for limit, back in zip(idle, rollbacks)]
+                    ),
+                    rollback_counts=_tally({}, rollbacks),
+                    probe_runs=probes,
+                )
             )
-            rollback = ub.rollback_distribution.maximum
-            rollback_counts[rollback] = rollback_counts.get(rollback, 0) + 1
-        stats.append(
-            ChipStats(
-                chip_id=draw.chip_id,
-                n_cores=draw.n_cores,
-                idle_limit_counts=idle_counts,
-                ubench_limit_counts=ubench_counts,
-                rollback_counts=rollback_counts,
-                probe_runs=probes,
-            )
-        )
     return tuple(stats)
+
+
+def _tally(counts: dict[int, int], values: list[int]) -> dict[int, int]:
+    """Count each of ``values`` into ``counts`` (new keys in order of first
+    occurrence) and return ``counts``."""
+    for value in values:
+        counts[value] = counts.get(value, 0) + 1
+    return counts
 
 
 class _FleetAccumulator:
@@ -507,12 +509,14 @@ def _process_chunk(
 
     Every chip runs one path, straight from its draw: its
     characterization is replayed from its record
-    (:func:`_characterized_chunk`), its assignment rows are plain
-    :class:`CoreAssignment` tuples checked against the draw's presets,
-    and :func:`compile_draw` compiles its tables from the draw or serves
-    them from the persistent store.  The solve batch
-    (:func:`solve_chips_cached`) serves stored converged states from disk
-    too, and every record a cold chip produces is written back.
+    (:func:`_characterized_chunk`) as per-core idle-limit and
+    worst-rollback columns, its assignment rows are plain
+    :class:`CoreAssignment` tuples checked against the chunk's preset
+    codes (one ``tolist()`` of the drawn block), and :func:`compile_draw`
+    compiles its tables from the draw or serves them from the persistent
+    store.  The solve batch (:func:`solve_chips_cached`) serves stored
+    converged states from disk too, and every record a cold chip produces
+    is written back.
     """
     # One assignment object per distinct (mode, reduction) in the chunk,
     # so each pays its first (memoized) hash in the solve memo once.
@@ -521,17 +525,19 @@ def _process_chunk(
     ) * n_cores
     tuned: dict[int, CoreAssignment] = {}
     entries = []
-    per_chip = []
-    for draw, idle, ubench, probes in _characterized_chunk(
-        chunk,
-        seed=seed,
-        trials=trials,
-        n_cores=n_cores,
-        noise_sigma_ps=noise_sigma_ps,
+    columns = []
+    draws = draw_chips(seed, chunk, n_cores=n_cores)
+    presets = draw_columns(draws, "preset_codes").tolist()
+    for draw, chip_presets, (idle, rollbacks, probes) in zip(
+        draws,
+        presets,
+        _characterized_chunk(
+            draws, chunk, seed=seed, trials=trials, noise_sigma_ps=noise_sigma_ps
+        ),
     ):
+        ubench = [limit - back for limit, back in zip(idle, rollbacks)]
         tuned_row = []
-        for label in draw.labels:
-            limit = ubench[label].ubench_limit
+        for limit in ubench:
             assignment = tuned.get(limit)
             if assignment is None:
                 assignment = tuned[limit] = CoreAssignment(
@@ -539,9 +545,9 @@ def _process_chunk(
                 )
             tuned_row.append(assignment)
         rows = [baseline_row, tuple(tuned_row)]
-        check_assignment_rows(draw.chip_id, draw.labels, draw.preset_codes, rows)
+        check_assignment_rows(draw.chip_id, draw.labels, chip_presets, rows)
         entries.append((compile_draw(draw), rows, None))
-        per_chip.append((draw, idle, ubench, probes))
+        columns.append((idle, ubench, rollbacks, probes))
 
     states = solve_chips_cached(entries)
 
@@ -554,47 +560,33 @@ def _process_chunk(
         rollback_hist = metrics.histogram("fleet.ubench_rollback_steps")
         tuned_gauge = metrics.gauge("fleet.tuned_slowest_mhz")
 
-    for index, (draw, idle, ubench, probes), chip_states in zip(
-        chunk, per_chip, states
+    for index, (idle, ubench, rollbacks, probes), (baseline_state, tuned_state) in zip(
+        chunk, columns, states
     ):
-        baseline_state, tuned_state = chip_states
         accumulator.probe_runs += probes
         accumulator.chips += 1
-        for label in draw.labels:
-            limit = idle[label].idle_limit
-            ub = ubench[label]
-            accumulator.idle_counts[limit] = (
-                accumulator.idle_counts.get(limit, 0) + 1
-            )
-            accumulator.ubench_counts[ub.ubench_limit] = (
-                accumulator.ubench_counts.get(ub.ubench_limit, 0) + 1
-            )
-            rollback = ub.rollback_distribution.maximum
-            accumulator.rollback_counts[rollback] = (
-                accumulator.rollback_counts.get(rollback, 0) + 1
-            )
-            accumulator.cores_total += 1
-            if ub.needed_rollback:
-                accumulator.cores_rolled_back += 1
+        _tally(accumulator.idle_counts, idle)
+        _tally(accumulator.ubench_counts, ubench)
+        _tally(accumulator.rollback_counts, rollbacks)
+        accumulator.cores_total += len(idle)
+        accumulator.cores_rolled_back += sum(back > 0 for back in rollbacks)
         for freq in baseline_state.freqs_mhz:
             accumulator.baseline_stat.add(freq)
         for freq in tuned_state.freqs_mhz:
             accumulator.tuned_stat.add(freq)
         if obs.enabled:
             chips_counter.inc()
-            cores_counter.inc(draw.n_cores)
-            for label in draw.labels:
-                idle_hist.observe(float(idle[label].idle_limit))
-                rollback_hist.observe(
-                    float(ubench[label].rollback_distribution.maximum)
-                )
+            cores_counter.inc(len(idle))
+            for limit, back in zip(idle, rollbacks):
+                idle_hist.observe(float(limit))
+                rollback_hist.observe(float(back))
             # Tick = global chip index: partition-invariant, so the
             # gauge's "last" is the highest-index chip under any chunk
             # size or worker scheduling.
             tuned_gauge.set(float(tuned_state.slowest_mhz), tick=float(index))
         if tsdb is not None:
             _record_chip_series(
-                tsdb, index, draw, idle, ubench, probes,
+                tsdb, index, idle, ubench, rollbacks, probes,
                 baseline_state, tuned_state,
             )
 
@@ -602,19 +594,21 @@ def _process_chunk(
 def _record_chip_series(
     tsdb: Tsdb,
     index: int,
-    draw: ChipDraw,
-    idle: dict,
-    ubench: dict,
+    idle: list[int],
+    ubench: list[int],
+    rollbacks: list[int],
     probes: int,
     baseline_state,
     tuned_state,
 ) -> None:
     """Fold one chip's characterization into the run's tsdb.
 
-    The tick is the global chip index, so the windowed series are
-    partition-invariant: any chunking or worker scheduling folds the same
-    samples into the same windows, and alert evaluation over the tsdb is
-    byte-identical across the serial/chunked/pooled matrix.
+    ``idle``, ``ubench`` and ``rollbacks`` hold each core's idle limit,
+    uBench limit and worst uBench rollback.  The tick is the global chip
+    index, so the windowed series are partition-invariant: any chunking
+    or worker scheduling folds the same samples into the same windows,
+    and alert evaluation over the tsdb is byte-identical across the
+    serial/chunked/pooled matrix.
     """
     tick = float(index)
     baseline_mhz = float(baseline_state.slowest_mhz)
@@ -623,18 +617,10 @@ def _record_chip_series(
     tsdb.record("fleet.tuned_slowest_mhz", tick, tuned_mhz)
     tsdb.record("fleet.tuning_gain_mhz", tick, tuned_mhz - baseline_mhz)
     tsdb.record("fleet.probe_runs", tick, float(probes))
-    for label in draw.labels:
-        tsdb.record(
-            "fleet.idle_limit_steps", tick, float(idle[label].idle_limit)
-        )
-        tsdb.record(
-            "fleet.ubench_limit_steps", tick, float(ubench[label].ubench_limit)
-        )
-        tsdb.record(
-            "fleet.ubench_rollback_steps",
-            tick,
-            float(ubench[label].rollback_distribution.maximum),
-        )
+    for idle_limit, ubench_limit, rollback in zip(idle, ubench, rollbacks):
+        tsdb.record("fleet.idle_limit_steps", tick, float(idle_limit))
+        tsdb.record("fleet.ubench_limit_steps", tick, float(ubench_limit))
+        tsdb.record("fleet.ubench_rollback_steps", tick, float(rollback))
 
 
 def _characterize_chunk_worker(

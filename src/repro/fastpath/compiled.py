@@ -14,11 +14,12 @@ regardless of object identity or ``chip_id``, which is what lets
 :class:`repro.fastpath.cache.SolveCache` and the persistent store share
 converged states across equal chips (e.g. the testbed rebuilt by every
 experiment).  :func:`fingerprint_from_draw` packs the same bytes straight
-from a raw :class:`~repro.silicon.chipspec.ChipDraw`.
+from a :class:`~repro.silicon.chipspec.ChipDraw`'s block row.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
 from itertools import chain
@@ -49,51 +50,57 @@ from .store import (
 #: Version tag leading every solver fingerprint's hashed bytes.
 _FINGERPRINT_VERSION = b"solver-v2"
 
+#: The core count that leads a fingerprint's ints, and the chip and
+#: thermal scalars that lead its floats.
+_COUNT = struct.Struct("<q")
+_CHIP_TERMS = struct.Struct("<6d")
 
-def _fingerprint(chip_terms, presets, core_columns, step_widths) -> str:
+
+def _fingerprint(ints: bytes, chip_terms, thermal: ThermalModel, floats: bytes) -> str:
     """The ``"solver-v2"`` content address: sha256 over packed inputs.
 
-    The one packer behind :func:`fingerprint_of`, :class:`CompiledChip`
+    The one hash behind :func:`fingerprint_of`, :class:`CompiledChip`
     and :func:`fingerprint_from_draw`, so their addresses cannot drift.
-    ``chip_terms`` are the chip and thermal scalars; ``presets`` and
-    every column of ``core_columns`` hold one value per core, and
-    ``step_widths`` holds each core's table.  The core count, the preset
-    codes and each table's length lead as little-endian int64, so equal
-    values split differently across cores hash differently; every float
-    follows as its little-endian float64 bytes, so any bit-level change
-    to a physical parameter produces a new fingerprint (and therefore a
-    cold cache), while renaming a chip or core does not.
+    ``ints`` are the little-endian int64 bytes of the core count, the
+    preset codes and each core's step-width table length, so equal
+    values split differently across cores hash differently.  The chip's
+    ``chip_terms`` (PDN resistance, uncore power, VRM voltage, DPLL
+    slack) and ``thermal``'s two scalars lead the little-endian float64
+    ``floats``: the seven per-core columns (synthetic-path base delay,
+    threshold voltage, alpha, temperature coefficient, leakage, ceff,
+    leakage temperature coefficient), then every step-width table.  Any
+    bit-level change to a physical parameter produces a new fingerprint
+    (and therefore a cold cache), while renaming a chip or core does not.
     """
-    ints = (len(presets), *presets, *map(len, step_widths))
-    floats = (*chip_terms, *chain.from_iterable(core_columns),
-              *chain.from_iterable(step_widths))
-    packed = struct.pack(f"<{len(ints)}q{len(floats)}d", *ints, *floats)
-    return hashlib.sha256(_FINGERPRINT_VERSION + packed).hexdigest()
+    terms = _CHIP_TERMS.pack(*chip_terms, thermal.ambient_c, thermal.resistance_c_per_w)
+    return hashlib.sha256(
+        b"".join((_FINGERPRINT_VERSION, ints, terms, floats))
+    ).hexdigest()
 
 
 def _chip_fingerprint(chip: ChipSpec, thermal: ThermalModel) -> str:
     """:func:`_fingerprint` of every quantity the solver reads off ``chip``."""
     cores = chip.cores
+    ints = (
+        len(cores),
+        *(core.preset_code for core in cores),
+        *(len(core.step_widths_ps) for core in cores),
+    )
+    floats = (
+        *(core.synth_path.base_delay_ps for core in cores),
+        *(core.synth_path.v_threshold for core in cores),
+        *(core.synth_path.alpha for core in cores),
+        *(core.synth_path.temp_coefficient_per_c for core in cores),
+        *(core.power.leakage_w for core in cores),
+        *(core.power.ceff_w_per_ghz for core in cores),
+        *(core.power.leakage_temp_coeff_per_c for core in cores),
+        *chain.from_iterable(core.step_widths_ps for core in cores),
+    )
     return _fingerprint(
-        (
-            chip.pdn_resistance_ohm,
-            chip.uncore_power_w,
-            chip.vrm_voltage,
-            chip.slack_ps,
-            thermal.ambient_c,
-            thermal.resistance_c_per_w,
-        ),
-        [core.preset_code for core in cores],
-        (
-            [core.synth_path.base_delay_ps for core in cores],
-            [core.synth_path.v_threshold for core in cores],
-            [core.synth_path.alpha for core in cores],
-            [core.synth_path.temp_coefficient_per_c for core in cores],
-            [core.power.leakage_w for core in cores],
-            [core.power.ceff_w_per_ghz for core in cores],
-            [core.power.leakage_temp_coeff_per_c for core in cores],
-        ),
-        [core.step_widths_ps for core in cores],
+        struct.pack(f"<{len(ints)}q", *ints),
+        (chip.pdn_resistance_ohm, chip.uncore_power_w, chip.vrm_voltage, chip.slack_ps),
+        thermal,
+        struct.pack(f"<{len(floats)}d", *floats),
     )
 
 
@@ -102,46 +109,67 @@ def fingerprint_of(chip: ChipSpec, thermal: ThermalModel | None = None) -> str:
     return _chip_fingerprint(chip, thermal if thermal is not None else ThermalModel())
 
 
-#: Coefficient defaults shared by every sampled core (sample_chip only
-#: draws base_delay / leakage / ceff; the rest ride the dataclass defaults
-#: of PathTimingModel / CorePowerSpec).
+#: Coefficient defaults shared by every sampled core and chip (sample_chip
+#: only draws base_delay / leakage / ceff; the rest ride the dataclass
+#: defaults of PathTimingModel / CorePowerSpec / ChipSpec).
 _DRAWN_PATH = PathTimingModel(base_delay_ps=1.0)
 _DRAWN_POWER = CorePowerSpec()
+_DRAWN_CHIP = (
+    DEFAULT_PDN_RESISTANCE_OHM,
+    DEFAULT_UNCORE_POWER_W,
+    NOMINAL_VDD,
+    DEFAULT_THRESHOLD_UNITS * DEFAULT_INVERTER_STEP_PS,
+)
+
+
+@functools.lru_cache(maxsize=64)
+def _drawn_constants(n_cores: int, n_steps: int) -> tuple[bytes, bytes, bytes]:
+    """The packed fingerprint bytes every drawn chip of this shape shares:
+    the table lengths, the three path defaults and the power default."""
+    path, power = _DRAWN_PATH, _DRAWN_POWER
+    return (
+        np.full(n_cores, n_steps, dtype="<i8").tobytes(),
+        np.repeat(
+            np.array(
+                [path.v_threshold, path.alpha, path.temp_coefficient_per_c], "<f8"
+            ),
+            n_cores,
+        ).tobytes(),
+        np.full(n_cores, power.leakage_temp_coeff_per_c, dtype="<f8").tobytes(),
+    )
 
 
 def fingerprint_from_draw(draw, thermal: ThermalModel | None = None) -> str:
     """Solver fingerprint of a :class:`~repro.silicon.chipspec.ChipDraw`.
 
     Equal to ``fingerprint_of(draw.materialize())`` (pinned in
-    ``tests/fastpath/test_store.py``) but packed straight from the raw
-    sampled values, so the fleet can address the store without building
-    any per-chip spec objects.  Sampled chips take every
-    non-drawn parameter at its dataclass default, which is what the
-    constants below restate.
+    ``tests/fastpath/test_store.py``) but packed straight from the draw's
+    block row with ``tobytes()``, so the fleet can address the store
+    without building any per-chip spec objects.  Sampled chips take every
+    non-drawn parameter at its dataclass default, which is what
+    :func:`_drawn_constants` packs.
     """
     thermal = thermal if thermal is not None else ThermalModel()
-    path, power = _DRAWN_PATH, _DRAWN_POWER
-    n_cores = len(draw.labels)
+    block, row = draw.block, draw.row
+    widths = block.step_widths_ps[row]
+    n_cores, n_steps = widths.shape
+    lengths, path_terms, power_terms = _drawn_constants(n_cores, n_steps)
     return _fingerprint(
-        (
-            DEFAULT_PDN_RESISTANCE_OHM,
-            DEFAULT_UNCORE_POWER_W,
-            NOMINAL_VDD,
-            DEFAULT_THRESHOLD_UNITS * DEFAULT_INVERTER_STEP_PS,
-            thermal.ambient_c,
-            thermal.resistance_c_per_w,
+        b"".join(
+            (_COUNT.pack(n_cores), block.preset_codes[row].tobytes(), lengths)
         ),
-        draw.preset_codes,
-        (
-            draw.synth_base_ps,
-            (path.v_threshold,) * n_cores,
-            (path.alpha,) * n_cores,
-            (path.temp_coefficient_per_c,) * n_cores,
-            draw.leakage_w,
-            draw.ceff_w_per_ghz,
-            (power.leakage_temp_coeff_per_c,) * n_cores,
+        _DRAWN_CHIP,
+        thermal,
+        b"".join(
+            (
+                block.synth_base_ps[row].tobytes(),
+                path_terms,
+                block.leakage_w[row].tobytes(),
+                block.ceff_w_per_ghz[row].tobytes(),
+                power_terms,
+                widths.tobytes(),
+            )
         ),
-        draw.step_widths_ps,
     )
 
 
@@ -296,39 +324,42 @@ class CompiledChip:
     def from_draw(
         cls, draw, *, thermal: ThermalModel, fingerprint: str
     ) -> "CompiledChip":
-        """Compile a :class:`~repro.silicon.chipspec.ChipDraw` from its values.
+        """Compile a :class:`~repro.silicon.chipspec.ChipDraw` from its block row.
 
         Every array holds the bytes ``CompiledChip(draw.materialize())``
-        computes: the inserted-delay table accumulates each core's step
-        widths left to right from 0.0 (``np.add.accumulate``, as
+        computes: the per-core columns are the row's own arrays (read,
+        never written), the inserted-delay table accumulates each core's
+        step widths left to right from 0.0 (``np.add.accumulate``, as
         ``CoreSpec`` adds them), and every parameter the draw does not
         sample takes the dataclass default :func:`fingerprint_from_draw`
         restates.  The chip is a :class:`ChipRef`.
         """
         path, power = _DRAWN_PATH, _DRAWN_POWER
-        n_cores = len(draw.labels)
-        widths = np.array(draw.step_widths_ps, dtype=np.float64)
+        pdn, uncore, vrm, slack = _DRAWN_CHIP
+        block, row = draw.block, draw.row
+        widths = block.step_widths_ps[row]
+        n_cores = len(widths)
         steps = np.zeros((n_cores, widths.shape[1] + 1))
         steps[:, 1:] = widths
         v_threshold = np.full(n_cores, path.v_threshold)
         alpha = np.full(n_cores, path.alpha)
         tables = {
             "n_cores": n_cores,
-            "slack_ps": float(DEFAULT_THRESHOLD_UNITS * DEFAULT_INVERTER_STEP_PS),
-            "vrm_voltage": float(NOMINAL_VDD),
-            "pdn_resistance_ohm": float(DEFAULT_PDN_RESISTANCE_OHM),
-            "uncore_power_w": float(DEFAULT_UNCORE_POWER_W),
+            "slack_ps": float(slack),
+            "vrm_voltage": float(vrm),
+            "pdn_resistance_ohm": float(pdn),
+            "uncore_power_w": float(uncore),
             "ambient_c": float(thermal.ambient_c),
             "thermal_resistance": float(thermal.resistance_c_per_w),
-            "base_delay_ps": np.array(draw.synth_base_ps, dtype=np.float64),
+            "base_delay_ps": block.synth_base_ps[row],
             "v_threshold": v_threshold,
             "alpha": alpha,
             "nominal_alpha_factor": _nominal_alpha_factor(v_threshold, alpha),
             "temp_coeff": np.full(n_cores, path.temp_coefficient_per_c),
-            "leakage_w": np.array(draw.leakage_w, dtype=np.float64),
-            "ceff_w_per_ghz": np.array(draw.ceff_w_per_ghz, dtype=np.float64),
+            "leakage_w": block.leakage_w[row],
+            "ceff_w_per_ghz": block.ceff_w_per_ghz[row],
             "leakage_temp_coeff": np.full(n_cores, power.leakage_temp_coeff_per_c),
-            "preset_code": np.array(draw.preset_codes, dtype=np.int64),
+            "preset_code": block.preset_codes[row],
             "insert_table_ps": np.add.accumulate(steps, axis=1),
         }
         return cls.from_tables(
@@ -427,5 +458,5 @@ def compile_draw(draw, thermal: ThermalModel | None = None) -> CompiledChip:
     if store is None:
         return build()
     return _compile_through_store(
-        store, fingerprint, ChipRef(draw.chip_id), thermal, len(draw.labels), build
+        store, fingerprint, ChipRef(draw.chip_id), thermal, draw.n_cores, build
     )

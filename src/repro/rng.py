@@ -111,36 +111,49 @@ def _pcg64_state_words(seeds: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(words.T).view(np.uint64)
 
 
-class _StateWords:
+@functools.cache
+def _state_words_type() -> type:
     """A seed sequence whose PCG64 state words were derived ahead of time.
 
     ``PCG64`` seeds itself by asking its seed sequence for four uint64
     words; handing over the words ``SeedSequence`` would produce builds
-    the same generator without rerunning the hash for each stream.
-    """
-
-    def __init__(self, words: np.ndarray):
-        self._words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != len(self._words) or np.dtype(dtype) != np.uint64:
-            raise ConfigurationError(
-                "precomputed seed words serve only PCG64 seeding"
-            )
-        return self._words
-
-
-@functools.cache
-def _state_words_type() -> type:
-    """:class:`_StateWords`, registered as numpy's ``ISeedSequence``.
-
-    Registered on first use rather than subclassed: ``numpy.random``
-    loads lazily, and importing its ``bit_generator`` module here would
-    load it into every process that imports this package.
+    the same generator without rerunning the hash for each stream.  The
+    class subclasses numpy's ``ISeedSequence``, so the generator's type
+    check passes without a registry lookup, and it is defined on first
+    use: ``numpy.random`` loads lazily, and importing its
+    ``bit_generator`` module here would load it into every process that
+    imports this package.  An instance pickles as a call to
+    :func:`_state_words`, so a generator seeded from one unpickles in a
+    process that has not defined the class yet.
     """
     from numpy.random.bit_generator import ISeedSequence
 
-    return ISeedSequence.register(_StateWords)
+    class _StateWords(ISeedSequence):
+        __slots__ = ("_words",)
+
+        def __init__(self, words: np.ndarray):
+            self._words = words
+
+        def __reduce__(self):
+            return _state_words, (self._words,)
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            # PCG64 passes the np.uint64 type itself: the identity check
+            # skips building a dtype for the general comparison.
+            if n_words == len(self._words) and (
+                dtype is np.uint64 or np.dtype(dtype) == np.uint64
+            ):
+                return self._words
+            raise ConfigurationError(
+                "precomputed seed words serve only PCG64 seeding"
+            )
+
+    return _StateWords
+
+
+def _state_words(words: np.ndarray):
+    """The :func:`_state_words_type` seed sequence of ``words``."""
+    return _state_words_type()(words)
 
 
 def _check_seed(seed) -> None:

@@ -38,7 +38,6 @@ Two factories build complete servers:
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -620,40 +619,124 @@ def power7plus_testbed(seed: int = 2019) -> ServerSpec:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+#: Chips per :class:`DrawBlock`: :func:`draw_chips` fills blocks of this
+#: many chips, so a whole-fleet draw holds one block's temporaries at a
+#: time, never the fleet's.
+_BLOCK_CHIPS = 64
+
+
+class DrawBlock:
+    """The sampled values of a run of drawn chips, one array per value.
+
+    Axis 0 is the chip and axis 1 the core: ``preset_codes`` (int64),
+    ``synth_base_ps``, ``headroom_ps``, ``leakage_w`` and
+    ``ceff_w_per_ghz`` are chips × cores, ``step_widths_ps`` adds the
+    inserted-delay code axis (``max_delay_code`` widths per core), and
+    ``stress_curves`` holds each core's four ``(stress, ps)`` anchors,
+    chips × cores × 4 × 2.  Every array is C-ordered and little-endian,
+    so one chip's row is contiguous and its ``tobytes()`` are the bytes
+    the store keys pack.
+    """
+
+    __slots__ = (
+        "preset_codes",
+        "synth_base_ps",
+        "step_widths_ps",
+        "headroom_ps",
+        "stress_curves",
+        "leakage_w",
+        "ceff_w_per_ghz",
+    )
+
+    def __init__(
+        self,
+        *,
+        preset_codes,
+        synth_base_ps,
+        step_widths_ps,
+        headroom_ps,
+        stress_curves,
+        leakage_w,
+        ceff_w_per_ghz,
+    ):
+        self.preset_codes = np.ascontiguousarray(preset_codes, dtype="<i8")
+        self.synth_base_ps = np.ascontiguousarray(synth_base_ps, dtype="<f8")
+        self.step_widths_ps = np.ascontiguousarray(step_widths_ps, dtype="<f8")
+        self.headroom_ps = np.ascontiguousarray(headroom_ps, dtype="<f8")
+        self.stress_curves = np.ascontiguousarray(stress_curves, dtype="<f8")
+        self.leakage_w = np.ascontiguousarray(leakage_w, dtype="<f8")
+        self.ceff_w_per_ghz = np.ascontiguousarray(ceff_w_per_ghz, dtype="<f8")
+
+
 class ChipDraw:
-    """Raw sampled values of one manufactured chip, before any spec objects.
+    """Raw sampled values of one manufactured chip: row ``row`` of ``block``.
 
     :func:`draw_chips` produces these a chunk at a time (:func:`draw_chip`
     is its one-chip call), running the RNG draws and factory-calibration
-    arithmetic of :func:`sample_chip` but collecting the per-core results
-    into flat tuples instead of constructing :class:`CoreSpec` /
+    arithmetic of :func:`sample_chip` into the arrays of a
+    :class:`DrawBlock` instead of constructing :class:`CoreSpec` /
     :class:`ChipSpec` objects.  The fleet (:mod:`repro.core.fleet`) runs
-    every chip, cold or store-served, straight from these values:
+    every chip, cold or store-served, straight from the block rows:
     :func:`repro.fastpath.compiled.fingerprint_from_draw` and
-    :func:`repro.core.char_record.char_key` pack them into the
+    :func:`repro.core.char_record.char_key` pack a row's bytes into the
     ``"solver-v2"`` and ``"char-v2"`` store keys,
-    :func:`repro.core.char_record.characterize_chunk` walks a chunk's cold
-    chips over slack rows computed from them, and
+    :func:`repro.core.char_record.characterize_chunk` walks a chunk's
+    cold chips over slack rows computed from their stacked rows
+    (:func:`draw_columns`), and
     :func:`repro.fastpath.compiled.compile_draw` compiles the solver
-    tables from them.  :meth:`materialize` rebuilds the exact
-    :class:`ChipSpec` (bit-identical fields, same validation) for
-    everything else, such as :func:`sample_chip`.
+    tables from a row.
+
+    The tuple properties rebuild one field as Python values, for
+    :meth:`materialize` and for the reference draw the tests hold these
+    against.  :meth:`materialize` rebuilds the exact :class:`ChipSpec`
+    (bit-identical fields, same validation) for everything else, such as
+    :func:`sample_chip`.
     """
 
-    chip_id: str
-    labels: tuple[str, ...]
-    synth_base_ps: tuple[float, ...]
-    preset_codes: tuple[int, ...]
-    step_widths_ps: tuple[tuple[float, ...], ...]
-    headroom_ps: tuple[float, ...]
-    stress_curves: tuple[tuple[tuple[float, float], ...], ...]
-    leakage_w: tuple[float, ...]
-    ceff_w_per_ghz: tuple[float, ...]
+    __slots__ = ("chip_id", "labels", "block", "row")
+
+    def __init__(
+        self, chip_id: str, labels: tuple[str, ...], block: DrawBlock, row: int
+    ):
+        self.chip_id = chip_id
+        self.labels = labels
+        self.block = block
+        self.row = row
 
     @property
     def n_cores(self) -> int:
         return len(self.labels)
+
+    @property
+    def synth_base_ps(self) -> tuple[float, ...]:
+        return tuple(self.block.synth_base_ps[self.row].tolist())
+
+    @property
+    def preset_codes(self) -> tuple[int, ...]:
+        return tuple(self.block.preset_codes[self.row].tolist())
+
+    @property
+    def step_widths_ps(self) -> tuple[tuple[float, ...], ...]:
+        return tuple(map(tuple, self.block.step_widths_ps[self.row].tolist()))
+
+    @property
+    def headroom_ps(self) -> tuple[float, ...]:
+        return tuple(self.block.headroom_ps[self.row].tolist())
+
+    @property
+    def stress_curves(self) -> tuple[tuple[tuple[float, float], ...], ...]:
+        return tuple(
+            tuple(map(tuple, curve))
+            for curve in self.block.stress_curves[self.row].tolist()
+        )
+
+    @property
+    def leakage_w(self) -> tuple[float, ...]:
+        return tuple(self.block.leakage_w[self.row].tolist())
+
+    @property
+    def ceff_w_per_ghz(self) -> tuple[float, ...]:
+        return tuple(self.block.ceff_w_per_ghz[self.row].tolist())
 
     def materialize(self) -> ChipSpec:
         """Build the :class:`ChipSpec` these values describe.
@@ -664,20 +747,44 @@ class ChipDraw:
         """
         cores = tuple(
             CoreSpec(
-                label=self.labels[i],
-                synth_path=PathTimingModel(base_delay_ps=self.synth_base_ps[i]),
-                preset_code=self.preset_codes[i],
-                step_widths_ps=self.step_widths_ps[i],
-                protection_headroom_ps=self.headroom_ps[i],
-                stress_curve=self.stress_curves[i],
-                power=CorePowerSpec(
-                    leakage_w=self.leakage_w[i],
-                    ceff_w_per_ghz=self.ceff_w_per_ghz[i],
-                ),
+                label=label,
+                synth_path=PathTimingModel(base_delay_ps=synth_base),
+                preset_code=preset,
+                step_widths_ps=widths,
+                protection_headroom_ps=headroom,
+                stress_curve=curve,
+                power=CorePowerSpec(leakage_w=leakage, ceff_w_per_ghz=ceff),
             )
-            for i in range(len(self.labels))
+            for label, synth_base, preset, widths, headroom, curve, leakage, ceff
+            in zip(
+                self.labels,
+                self.synth_base_ps,
+                self.preset_codes,
+                self.step_widths_ps,
+                self.headroom_ps,
+                self.stress_curves,
+                self.leakage_w,
+                self.ceff_w_per_ghz,
+            )
         )
         return ChipSpec(chip_id=self.chip_id, cores=cores)
+
+
+def draw_columns(draws: Sequence[ChipDraw], name: str) -> np.ndarray:
+    """:class:`DrawBlock` column ``name`` of ``draws``, stacked by chip.
+
+    Row ``i`` is ``draws[i]``'s row of that column; each run of draws
+    sharing a block is taken with one index.  ``draws`` must not be
+    empty.
+    """
+    runs: list[tuple[DrawBlock, list[int]]] = []
+    for draw in draws:
+        if runs and runs[-1][0] is draw.block:
+            runs[-1][1].append(draw.row)
+        else:
+            runs.append((draw.block, [draw.row]))
+    parts = [getattr(block, name)[rows] for block, rows in runs]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _draw(
@@ -686,28 +793,82 @@ def _draw(
     variation: ProcessVariationModel | None,
 ) -> tuple[ChipDraw, ...]:
     """Draw chip ``chip_id`` from the ``sample.<chip_id>`` stream of its
-    ``seed``, for every ``(seed, chip_id)`` in ``chips``.
-
-    A chip takes its die, within-die and step-width/mismatch Gaussians
-    (``1 + n_cores * (max_delay_code + 2)`` of them) in one block, then
-    each core's three stress-curve Gaussians and two power-term uniforms.
-    Step widths are exponentiated with ``math.exp``, the libm ``exp``
-    that ``Generator.lognormal`` applies (``np.exp`` can differ in the
-    last bit).
+    ``seed``, for every ``(seed, chip_id)`` in ``chips``, into blocks of
+    up to :data:`_BLOCK_CHIPS` chips (:func:`_draw_block`).
     """
     if not chips:
         return ()
     # Seeds are checked before the core count, as each chip's RngStreams
     # was built before its cores were sampled.
-    generators = seeded_streams(
-        [(seed, f"sample.{chip_id}") for seed, chip_id in chips]
-    )
+    streams = [(seed, f"sample.{chip_id}") for seed, chip_id in chips]
+    generators = seeded_streams(streams)
+    # Each chip's stream once more, for its step widths (_draw_block).
+    twins = seeded_streams(streams)
     if n_cores < 1:
         raise ConfigurationError(f"n_cores must be >= 1, got {n_cores}")
     model = variation if variation is not None else ProcessVariationModel()
-    n_steps = model.max_delay_code
     factor = core_covariance_factor(n_cores, model.correlation_length)
+    draws = []
+    for start in range(0, len(chips), _BLOCK_CHIPS):
+        chip_ids = [chip_id for _seed, chip_id in chips[start : start + _BLOCK_CHIPS]]
+        block = _draw_block(chip_ids, generators, twins, n_cores, model, factor)
+        for row, chip_id in enumerate(chip_ids):
+            number = int(chip_id[1:]) if chip_id[1:].isdigit() else 0
+            # core_label's format; the number is never negative.
+            labels = tuple([f"P{number}C{core}" for core in range(n_cores)])
+            draws.append(ChipDraw(chip_id, labels, block, row))
+    return tuple(draws)
+
+
+def _draw_block(
+    chip_ids: list[str],
+    generators,
+    twins,
+    n_cores: int,
+    model: ProcessVariationModel,
+    factor: np.ndarray,
+) -> DrawBlock:
+    """Draw the chips named ``chip_ids`` from the next ``generators``.
+
+    A chip takes its die, within-die and step-width/mismatch Gaussians
+    (``1 + n_cores * (max_delay_code + 2)`` of them) in one call, then
+    each core's three stress-curve Gaussians and two power-term uniforms;
+    those calls fill the chip's rows of the block's arrays.  The chip's
+    ``twins`` generator, a second copy of its stream, draws the first
+    call's Gaussians again through ``Generator.lognormal``, which is
+    where the reference takes its step widths from: its C loop applies
+    libm's ``exp`` to ``log(median) + sigma * z`` (``np.exp`` can differ
+    in the last bit).  Everything after these calls is array arithmetic
+    over the whole block, element for element the per-core arithmetic of
+    the reference draw.  The first chip in order with a non-positive
+    speed factor or a non-physical core raises, naming the speed before
+    the core, as the reference samples every speed before it calibrates
+    a core.
+    """
+    n_chips = len(chip_ids)
+    n_steps = model.max_delay_code
+    normals = np.empty((n_chips, 1 + n_cores * (n_steps + 2)))
+    lognormals = np.empty_like(normals)
+    spread = np.empty((n_chips, n_cores))
+    stress = np.empty((n_chips, n_cores, 3))
+    power = np.empty((n_chips, n_cores, 2))
     log_median = float(np.log(model.step_width_median_ps))
+    for chip, rng, twin in zip(range(n_chips), generators, twins):
+        rng.standard_normal(out=normals[chip])
+        lognormals[chip] = twin.lognormal(
+            log_median, model.step_width_sigma, normals.shape[1]
+        )
+        # One chip at a time, as the reference multiplies: a stacked
+        # matmul may sum in another order.
+        spread[chip] = factor @ normals[chip, 1 : n_cores + 1]
+        for core in range(n_cores):
+            rng.standard_normal(out=stress[chip, core])
+            rng.random(out=power[chip, core])
+    speeds = np.exp(model.die_sigma * normals[:, :1] + model.core_sigma * spread)
+    per_core = normals[:, n_cores + 1 :].reshape(n_chips, n_cores, n_steps + 1)
+    widths = lognormals[:, n_cores + 1 :].reshape(n_chips, n_cores, n_steps + 1)[
+        ..., :n_steps
+    ]
     # A core's preset inserted delay fills the gap between its path delay
     # and this uniform-performance target.
     target_ps = (
@@ -717,104 +878,69 @@ def _draw(
     # Nominal synthetic-path delay of a median core, sized so a median
     # preset (~12 codes at the median step width) hits the default target.
     nominal_synth = target_ps - 12 * model.step_width_median_ps
-
-    draws = []
-    for (_seed, chip_id), rng in zip(chips, generators):
-        normals = rng.standard_normal(1 + n_cores * (n_steps + 2))
-        speeds = np.exp(
-            model.die_sigma * normals[0]
-            + model.core_sigma * (factor @ normals[1 : n_cores + 1])
-        )
-        for speed in speeds.tolist():
-            require_positive(speed, "speed_factor")
-        per_core = normals[n_cores + 1 :].reshape(n_cores, n_steps + 1)
-        widths = list(
-            map(
-                math.exp,
-                (log_median + model.step_width_sigma * per_core[:, :n_steps])
-                .ravel()
-                .tolist(),
+    fills = target_ps - nominal_synth * speeds
+    # Factory preset: the smallest code whose inserted delay fills the
+    # gap (one past the prefix sums short of it), while reserving the
+    # core's mismatch as protection.
+    short = ~(np.add.accumulate(widths, axis=2) >= fills[..., None])
+    presets = np.maximum(np.minimum(np.count_nonzero(short, axis=2) + 1, n_steps), 2)
+    # The builtin sum, as calibration has always added the preset's
+    # widths (Python 3.12+ compensates its rounding; a running sum does
+    # not).
+    insert_at_preset = np.array(
+        [
+            sum(row[:count])
+            for row, count in zip(
+                widths.reshape(-1, n_steps).tolist(), presets.ravel().tolist()
             )
-        )
-        cumulative = np.add.accumulate(
-            np.fromiter(widths, float, len(widths)).reshape(n_cores, n_steps), axis=1
-        )
-        fills = (target_ps - nominal_synth * speeds).tolist()
-        mismatches = (
-            model.mismatch_mean_ps + model.mismatch_sigma_ps * per_core[:, n_steps]
-        ).tolist()
-
-        chip_number = int(chip_id[1:]) if chip_id[1:].isdigit() else 0
-        synth_bases = []
-        presets = []
-        core_widths = []
-        headrooms = []
-        curves = []
-        leakages = []
-        ceffs = []
-        for core in range(n_cores):
-            core_widths.append(tuple(widths[core * n_steps : (core + 1) * n_steps]))
-            # Factory preset: the smallest code whose inserted delay fills
-            # the gap, while reserving the core's mismatch as protection.
-            found = int(cumulative[core].searchsorted(fills[core]))
-            preset = max(2, min(found + 1, n_steps))
-            # The builtin sum, as calibration has always added the preset's
-            # widths (Python 3.12+ compensates its rounding; the running
-            # sum in ``cumulative`` does not).
-            insert_at_preset = sum(core_widths[-1][:preset])
-            # Re-anchor the path delay so the default config sits exactly at
-            # the uniform target despite preset quantization (vendors trim
-            # this with the CPM's fine calibration bits).
-            synth_base = target_ps - insert_at_preset
-            if synth_base <= 0.0:
-                # Not the core label: it always reads P<n>, and it seeds
-                # RNG streams.
-                raise ConfigurationError(
-                    f"{chip_id} core {core}: sampled chip is non-physical"
-                )
-            mismatch = max(0.0, mismatches[core])
-            # Reclaimable protection is bounded both by the CPM mismatch the
-            # preset must keep covering and by how much true guardband the
-            # factory actually inserted: even the fastest testbed core
-            # exposes only ~25 ps (P0C3, 4.6 -> 5.2 GHz), so cap sampled
-            # chips in the same physical regime.
-            headroom = min(max(insert_at_preset - mismatch, 0.5), 26.0)
-            # Requirements grow with the mismatch: cores whose synthetic
-            # paths track their real paths poorly need disproportionately
-            # more protection under stressful workloads.
-            stress = rng.standard_normal(3).tolist()
-            ubench = max(0.3, 0.25 * mismatch + 1.0 + 0.8 * stress[0])
-            normal = ubench + max(0.2, 0.35 * mismatch + 1.0 + 0.9 * stress[1])
-            worst = normal + max(0.3, 0.55 * mismatch + 1.5 + 1.2 * stress[2])
-            power = rng.random(2).tolist()
-            synth_bases.append(synth_base)
-            presets.append(preset)
-            headrooms.append(headroom)
-            curves.append(
-                (
-                    (0.0, 0.0),
-                    (STRESS_UBENCH, ubench),
-                    (STRESS_THREAD_NORMAL, normal),
-                    (STRESS_THREAD_WORST, worst),
-                )
+        ]
+    ).reshape(n_chips, n_cores)
+    # Re-anchor the path delay so the default config sits exactly at the
+    # uniform target despite preset quantization (vendors trim this with
+    # the CPM's fine calibration bits).
+    synth_base = target_ps - insert_at_preset
+    bad_speed = ~(speeds > 0.0)
+    bad_core = synth_base <= 0.0
+    failing = np.flatnonzero(bad_speed.any(axis=1) | bad_core.any(axis=1))
+    if failing.size:
+        chip = failing[0]
+        if bad_speed[chip].any():
+            require_positive(
+                speeds[chip, bad_speed[chip].argmax()].item(), "speed_factor"
             )
-            # Generator.uniform(low, high) is low + (high - low) * random().
-            leakages.append(1.2 * (0.85 + (1.15 - 0.85) * power[0]))
-            ceffs.append(2.6 * (0.93 + (1.07 - 0.93) * power[1]))
-        draws.append(
-            ChipDraw(
-                chip_id=chip_id,
-                labels=tuple(core_label(chip_number, core) for core in range(n_cores)),
-                synth_base_ps=tuple(synth_bases),
-                preset_codes=tuple(presets),
-                step_widths_ps=tuple(core_widths),
-                headroom_ps=tuple(headrooms),
-                stress_curves=tuple(curves),
-                leakage_w=tuple(leakages),
-                ceff_w_per_ghz=tuple(ceffs),
-            )
+        # Not the core label: it always reads P<n>, and it seeds RNG
+        # streams.
+        raise ConfigurationError(
+            f"{chip_ids[chip]} core {int(bad_core[chip].argmax())}: "
+            f"sampled chip is non-physical"
         )
-    return tuple(draws)
+    mismatch = model.mismatch_mean_ps + model.mismatch_sigma_ps * per_core[..., n_steps]
+    mismatch = np.where(mismatch > 0.0, mismatch, 0.0)
+    # Reclaimable protection is bounded both by the CPM mismatch the
+    # preset must keep covering and by how much true guardband the
+    # factory actually inserted: even the fastest testbed core exposes
+    # only ~25 ps (P0C3, 4.6 -> 5.2 GHz), so cap sampled chips in the
+    # same physical regime.
+    headroom = np.clip(insert_at_preset - mismatch, 0.5, 26.0)
+    # Requirements grow with the mismatch: cores whose synthetic paths
+    # track their real paths poorly need disproportionately more
+    # protection under stressful workloads.
+    ubench = np.maximum(0.3, 0.25 * mismatch + 1.0 + 0.8 * stress[..., 0])
+    normal = ubench + np.maximum(0.2, 0.35 * mismatch + 1.0 + 0.9 * stress[..., 1])
+    worst = normal + np.maximum(0.3, 0.55 * mismatch + 1.5 + 1.2 * stress[..., 2])
+    curves = np.zeros((n_chips, n_cores, 4, 2))
+    curves[..., 0] = (0.0, STRESS_UBENCH, STRESS_THREAD_NORMAL, STRESS_THREAD_WORST)
+    curves[..., 1:, 1] = np.stack((ubench, normal, worst), axis=-1)
+    # Generator.uniform(low, high) is low + (high - low) * random().
+    return DrawBlock(
+        preset_codes=presets,
+        synth_base_ps=synth_base,
+        step_widths_ps=widths,
+        headroom_ps=headroom,
+        stress_curves=curves,
+        leakage_w=1.2 * (0.85 + (1.15 - 0.85) * power[..., 0]),
+        ceff_w_per_ghz=2.6 * (0.93 + (1.07 - 0.93) * power[..., 1]),
+    )
 
 
 def draw_chip(
@@ -845,8 +971,9 @@ def draw_chips(
     Chip ``i`` equals ``draw_chip(seed + i, chip_id=f"F{i}")`` field for
     field.  The chunk's generators are seeded together
     (:func:`repro.rng.seeded_streams`), the core covariance is factored
-    once, and no per-chip spec objects are built: the warm store path
-    consumes the draws directly.  A non-physical chip raises
+    once, and the values land in :class:`DrawBlock` arrays of up to
+    :data:`_BLOCK_CHIPS` chips, each draw a view of its row: no per-chip
+    spec objects or tuples are built.  A non-physical chip raises
     ``ConfigurationError`` naming the first such chip in ``indices``.
     """
     return _draw([(seed + i, f"F{i}") for i in indices], n_cores, variation)

@@ -4,11 +4,12 @@
 straight from their draws, and the fleet serves every chip through
 ``replay_characterization``.  Together they must be indistinguishable
 from characterizing each materialized chip with its own
-``Characterizer`` (:mod:`tests.core.chip_oracle`): same results, probe
-counts, record bytes, event lines and counters, in dark, metrics-only,
-event-capturing and store-writable contexts, and through
-``run_fleet_observed`` with a store that holds records for only part of a
-chunk.  The slack block the pass reads must equal every core's
+``Characterizer`` (:mod:`tests.core.chip_oracle`): the same per-trial
+outcomes in the record, the same per-core idle limits and worst
+rollbacks from replay, probe counts, record bytes, event lines and
+counters, in dark, metrics-only, event-capturing and store-writable
+contexts, and through ``run_fleet_observed`` with a store that holds
+records for only part of a chunk.  The slack block the pass reads must equal every core's
 ``CoreSpec.slack_row`` byte for byte.
 """
 
@@ -92,11 +93,12 @@ def _chunk_pass(draws, seeds, *, trials, sigma, context):
     for record, payload in pairs:
         obs = observability(kind)
         with observed(obs):
-            idle, ubench, probes = replay_characterization(record, obs)
+            idle, rollbacks, probes = replay_characterization(record, obs)
         served.append(
             {
+                "record": record,
                 "idle": idle,
-                "ubench": ubench,
+                "rollbacks": rollbacks,
                 "probes": probes,
                 "payload": payload,
                 "lines": _lines(obs.sink.events()) if kind == "events" else None,
@@ -107,8 +109,22 @@ def _chunk_pass(draws, seeds, *, trials, sigma, context):
 
 
 def _assert_served_as_oracle(served, want, context):
-    assert served["idle"] == want["idle"]
-    assert served["ubench"] == want["ubench"]
+    labels = list(want["idle"])
+    record = served["record"]
+    # The record's per-trial outcomes are the oracle's distributions ...
+    assert record["labels"] == labels
+    assert record["idle"] == {
+        label: list(want["idle"][label].distribution.values) for label in labels
+    }
+    assert record["rollbacks"] == {
+        label: list(want["ubench"][label].rollback_distribution.values)
+        for label in labels
+    }
+    # ... and replay's columns are its idle limits and worst rollbacks.
+    assert served["idle"] == [want["idle"][label].idle_limit for label in labels]
+    assert served["rollbacks"] == [
+        want["ubench"][label].rollback_distribution.maximum for label in labels
+    ]
     assert served["probes"] == want["probes"]
     if context in ("events", "store"):
         assert served["payload"] == want["payload"]

@@ -14,6 +14,7 @@ from repro.core.fleet import (
     run_fleet_observed,
 )
 from repro.errors import ConfigurationError
+from repro.fastpath.store import configure_store, reset_store
 from repro.obs.runtime import Observability, observed
 from repro.obs.sinks import RingBufferSink
 from repro.obs.stream.gates import quantile_from_counts
@@ -61,6 +62,29 @@ class TestFleetValidation:
     def test_zero_cores_rejected(self):
         with pytest.raises(ConfigurationError):
             characterize_fleet(2, n_cores=0)
+
+    @pytest.mark.parametrize("n_cores", [257, 4096])
+    def test_more_cores_than_a_record_indexes_rejected(self, n_cores, monkeypatch):
+        # A characterization record stores a core index in one byte; the
+        # core count is checked before any chip is drawn.
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a chip was drawn")
+
+        monkeypatch.setattr(fleet, "draw_chips", no_draws)
+        message = f"^cores must be <= 256, got {n_cores}$"
+        with pytest.raises(ConfigurationError, match=message):
+            characterize_fleet(1, trials=1, n_cores=n_cores)
+        with pytest.raises(ConfigurationError, match=message):
+            collect_chip_stats(1, trials=1, n_cores=n_cores)
+
+    def test_256_cores_accepted(self, tmp_path):
+        # The widest chip a record holds, characterized and stored.
+        configure_store(tmp_path / "store")
+        try:
+            stats = collect_chip_stats(1, trials=1, n_cores=256)
+        finally:
+            reset_store()
+        assert stats[0].n_cores == 256
 
     def test_negative_reduction_rejected(self):
         with pytest.raises(ConfigurationError):

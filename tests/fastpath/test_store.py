@@ -9,7 +9,7 @@ the store keys on.
 
 import math
 import struct
-from dataclasses import replace
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -52,7 +52,7 @@ from repro.silicon.process import ProcessVariationModel
 from repro.workloads.base import IDLE
 from repro.workloads.ubench import UBENCH_SUITE
 
-from ..silicon.scalar_draw import scalar_draw_chips
+from ..silicon.scalar_draw import draw_fields, scalar_draw_chips
 
 
 @pytest.fixture(autouse=True)
@@ -67,9 +67,10 @@ def _store(tmp_path, **kwargs):
 
 
 def _drawn(draw_fn, seed, indices, **kwargs):
-    """The draws, or the message of the ``ConfigurationError`` raised."""
+    """Every field of each draw, or the message of the
+    ``ConfigurationError`` raised."""
     try:
-        return draw_fn(seed, indices, **kwargs)
+        return [draw_fields(draw) for draw in draw_fn(seed, indices, **kwargs)]
     except ConfigurationError as error:
         return str(error)
 
@@ -108,13 +109,30 @@ class TestDrawLayer:
         assert batch == _drawn(scalar_draw_chips, seed, indices, **kwargs)
         if isinstance(batch, str):
             return
-        for index, draw in zip(indices, batch):
-            assert draw == draw_chip(seed + index, chip_id=f"F{index}", **kwargs)
+        for index, draw in zip(indices, draw_chips(seed, indices, **kwargs)):
+            single = draw_chip(seed + index, chip_id=f"F{index}", **kwargs)
+            assert draw_fields(draw) == draw_fields(single)
             assert fingerprint_from_draw(draw) == fingerprint_of(draw.materialize())
 
     def test_fleet_cold_fleet_matches_the_oracle(self):
         # The 2560 chips the e2e fleet_cold workload draws at seed 2019.
-        assert draw_chips(2019, range(2560)) == scalar_draw_chips(2019, range(2560))
+        assert _drawn(draw_chips, 2019, range(2560)) == _drawn(
+            scalar_draw_chips, 2019, range(2560)
+        )
+
+    def test_fleet_cold_draw_memory_is_bounded(self):
+        # Drawing fleet_cold's 2560 chips in one call peaked at 31.6 MB
+        # of traced allocations when every draw held nested tuples; block
+        # arrays filled 64 chips at a time must stay under half of that.
+        draw_chips(2019, range(1))  # lazy imports and per-shape caches
+        tracemalloc.start()
+        try:
+            draws = draw_chips(2019, range(2560))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(draws) == 2560
+        assert peak <= 15.8e6
 
     def test_chunk_names_the_first_nonphysical_chip(self):
         # F10322 is the first non-physical fleet chip at seed 2019.
@@ -184,19 +202,21 @@ class TestStoreKeys:
 
     def test_one_ulp_step_width_changes_both_keys(self):
         draw = draw_chip(2019, chip_id="F0")
-        widths = [list(core) for core in draw.step_widths_ps]
-        widths[3][17] = math.nextafter(widths[3][17], math.inf)
-        bumped = replace(draw, step_widths_ps=tuple(map(tuple, widths)))
+        # A second draw of the chip owns its own block to bump.
+        bumped = draw_chip(2019, chip_id="F0")
+        widths = bumped.block.step_widths_ps[bumped.row]
+        widths[3, 17] = math.nextafter(widths[3, 17], math.inf)
+        assert bumped.step_widths_ps[3][17] > draw.step_widths_ps[3][17]
         assert fingerprint_from_draw(bumped) != fingerprint_from_draw(draw)
         assert fingerprint_of(bumped.materialize()) == fingerprint_from_draw(bumped)
         assert _char_key(bumped) != _char_key(draw)
 
     def test_one_ulp_stress_point_changes_the_char_key(self):
         draw = draw_chip(2019, chip_id="F0")
-        curves = [list(curve) for curve in draw.stress_curves]
-        stress, ps = curves[5][2]
-        curves[5][2] = (stress, math.nextafter(ps, 0.0))
-        bumped = replace(draw, stress_curves=tuple(map(tuple, curves)))
+        bumped = draw_chip(2019, chip_id="F0")
+        curves = bumped.block.stress_curves[bumped.row]
+        curves[5, 2, 1] = math.nextafter(curves[5, 2, 1], 0.0)
+        assert bumped.stress_curves[5][2][1] < draw.stress_curves[5][2][1]
         assert _char_key(bumped) != _char_key(draw)
         # The solver never reads a stress curve, so its address holds.
         assert fingerprint_from_draw(bumped) == fingerprint_from_draw(draw)

@@ -3,15 +3,16 @@
 Each chip seeds its own ``sample.<chip_id>`` stream, factors the core
 covariance afresh, draws its Gaussians one core at a time through
 ``normal`` and ``lognormal``, and calibrates each core's factory preset
-with a Python loop.  :func:`repro.silicon.chipspec.draw_chips` and
-:func:`~repro.silicon.chipspec.draw_chip` must match it exactly: every
-:class:`~repro.silicon.chipspec.ChipDraw` field, and every
-``ConfigurationError``.
+with a Python loop, collecting each chip's values into a
+:class:`ScalarDraw` of plain tuples.  :func:`repro.silicon.chipspec.draw_chips`
+and :func:`~repro.silicon.chipspec.draw_chip` must match it exactly: every
+field a :class:`~repro.silicon.chipspec.ChipDraw` view rebuilds from its
+block row (:func:`draw_fields`), and every ``ConfigurationError``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -23,12 +24,33 @@ from repro.silicon.chipspec import (
     STRESS_THREAD_NORMAL,
     STRESS_THREAD_WORST,
     STRESS_UBENCH,
-    ChipDraw,
     _idle_operating_factor,
     core_label,
 )
 from repro.silicon.process import ProcessVariationModel
 from repro.units import CORES_PER_CHIP, DEFAULT_ATM_IDLE_MHZ, mhz_to_cycle_ps, require_positive
+
+
+@dataclass(frozen=True)
+class ScalarDraw:
+    """One chip's drawn values, as the :class:`~repro.silicon.chipspec.ChipDraw`
+    tuple properties read them."""
+
+    chip_id: str
+    labels: tuple[str, ...]
+    synth_base_ps: tuple[float, ...]
+    preset_codes: tuple[int, ...]
+    step_widths_ps: tuple[tuple[float, ...], ...]
+    headroom_ps: tuple[float, ...]
+    stress_curves: tuple[tuple[tuple[float, float], ...], ...]
+    leakage_w: tuple[float, ...]
+    ceff_w_per_ghz: tuple[float, ...]
+
+
+def draw_fields(draw) -> ScalarDraw:
+    """Every field of ``draw`` (a ``ChipDraw`` view or a :class:`ScalarDraw`)
+    as Python values, for comparing a view with the reference."""
+    return ScalarDraw(*(getattr(draw, field.name) for field in fields(ScalarDraw)))
 
 
 @dataclass(frozen=True)
@@ -138,7 +160,7 @@ def scalar_draw_chip(
     *,
     n_cores: int = CORES_PER_CHIP,
     variation: ProcessVariationModel | None = None,
-) -> ChipDraw:
+) -> ScalarDraw:
     """One chip's draw: its own stream, then one core at a time."""
     model = variation if variation is not None else ProcessVariationModel()
     streams = RngStreams(seed)
@@ -191,7 +213,7 @@ def scalar_draw_chip(
         curves.append(stress_curve)
         leakages.append(float(1.2 * rng.uniform(0.85, 1.15)))
         ceffs.append(float(2.6 * rng.uniform(0.93, 1.07)))
-    return ChipDraw(
+    return ScalarDraw(
         chip_id=chip_id,
         labels=tuple(labels),
         synth_base_ps=tuple(synth_bases),
@@ -210,7 +232,7 @@ def scalar_draw_chips(
     *,
     n_cores: int = CORES_PER_CHIP,
     variation: ProcessVariationModel | None = None,
-) -> tuple[ChipDraw, ...]:
+) -> tuple[ScalarDraw, ...]:
     """Fleet chips ``F{i}``, one :func:`scalar_draw_chip` at a time."""
     return tuple(
         scalar_draw_chip(seed + i, chip_id=f"F{i}", n_cores=n_cores, variation=variation)

@@ -346,6 +346,20 @@ class TestFleetCli:
         assert code == 1
         assert "chunk size must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--solve-store", "--out"])
+    def test_more_than_256_cores_fails_before_drawing(
+        self, tmp_path, capsys, drawn, flag
+    ):
+        # A record stores a core index in one byte: 257 cores used to end
+        # in an OverflowError traceback once a record was encoded.
+        code = main(
+            ["fleet", "characterize", "--chips", "1", "--cores", "257",
+             "--trials", "1", flag, str(tmp_path / "dir")]
+        )
+        assert code == 1
+        assert "error: cores must be <= 256, got 257" in capsys.readouterr().err
+        assert drawn == []
+
     def test_reduction_requires_atm_mode(self, capsys):
         code = main(
             ["fleet", "characterize", "--chips", "2",

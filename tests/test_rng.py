@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
-from repro.rng import RngStreams, _derive_seed, _pcg64_state_words
+from repro.rng import (
+    RngStreams,
+    _derive_seed,
+    _pcg64_state_words,
+    _state_words_type,
+)
 
 
 class TestReproducibility:
@@ -74,6 +79,21 @@ class TestBatchedStreams:
             assert generator.normal(size=3).tolist() == expected.normal(
                 size=3
             ).tolist()
+
+    def test_state_words_serve_only_pcg64_seeding(self):
+        words = _state_words_type()(_pcg64_state_words(np.array([7], np.uint32))[0])
+        assert isinstance(words, np.random.bit_generator.ISeedSequence)
+        # PCG64's request, by the type and by any spelling of its dtype.
+        for dtype in (np.uint64, "uint64", np.dtype("<u8")):
+            assert words.generate_state(4, dtype).tolist() == (
+                np.random.SeedSequence(7).generate_state(4, np.uint64).tolist()
+            )
+        for n_words, dtype in ((4, np.uint32), (2, np.uint64), (8, np.uint64)):
+            with pytest.raises(ConfigurationError, match="only PCG64 seeding"):
+                words.generate_state(n_words, dtype)
+        # A bit generator that asks for other words fails the same way.
+        with pytest.raises(ConfigurationError, match="only PCG64 seeding"):
+            np.random.Philox(words)
 
     def test_batch_matches_one_at_a_time(self):
         names = [f"characterize.idle.P0C{core}.{trial}" for core in range(8)
