@@ -23,12 +23,17 @@ from repro.silicon.chipspec import TESTBED_UBENCH_LIMITS
 from repro.workloads import X264
 
 
+#: Integration step and loop evaluation interval: four steps per interval.
+DT_NS = 0.25
+INTERVAL_NS = 1.0
+
+
 def main() -> None:
     server = power7plus_testbed()
     chip = server.chips[0]
     core = chip.cores[0]
     simulator = TransientSimulator(
-        chip, core, LoopConfig(evaluation_interval_ns=1.0), dt_ns=0.25
+        chip, core, LoopConfig(evaluation_interval_ns=INTERVAL_NS), dt_ns=DT_NS
     )
     result = simulator.run(
         X264,
@@ -37,7 +42,6 @@ def main() -> None:
         duration_ns=4000.0,
         dc_chip_power_w=80.0,
         didt_generator=DidtEventGenerator(base_rate_per_us=1.5, mean_step_a=10.0),
-        record_trace=True,
     )
 
     print(f"Core {core.label} at its uBench-limit configuration under x264 noise")
@@ -53,13 +57,15 @@ def main() -> None:
 
     # Strip chart around the biggest event.
     biggest = max(result.events, key=lambda e: e.current_step_a)
-    trace = result.trace
-    times = trace.column("time_ns")
+    steps = np.arange(result.voltage_v.size)
+    times = steps * DT_NS
     window = (times >= biggest.start_ns - 4.0) & (times <= biggest.start_ns + 28.0)
-    vdd = trace.column("vdd")[window]
-    freq = trace.column("freq_mhz")[window]
-    margin = trace.column("margin_units")[window]
-    gated = trace.column("gated")[window]
+    # The loop holds its frequency, reading and gate for a whole interval.
+    interval = steps[window] // round(INTERVAL_NS / DT_NS)
+    vdd = result.voltage_v[window]
+    freq = result.frequency_mhz[interval]
+    margin = result.margin_units[interval]
+    gated = result.gated[interval]
     ts = times[window]
 
     print()

@@ -11,8 +11,9 @@ Ties the substrates together:
 * :mod:`repro.atm.failure` — the timing-violation failure taxonomy
   (crash / abnormal exit / silent data corruption) and its sampler;
 * :mod:`repro.atm.transient` — nanosecond-scale simulation of di/dt droops
-  versus the DPLL loop's response;
-* :mod:`repro.atm.telemetry` — trace recording.
+  versus the DPLL loop's response: one interval kernel for a single core
+  and (:mod:`repro.atm.multicore_transient`) for a chip's cores on their
+  shared rail.
 """
 
 from .failure import FailureMode, FailureModel
@@ -24,7 +25,6 @@ from .multicore_transient import (
     MulticoreTransientResult,
     MulticoreTransientSimulator,
 )
-from .telemetry import TraceRecorder
 
 __all__ = [
     "FailureMode",
@@ -40,5 +40,4 @@ __all__ = [
     "TransientResult",
     "MulticoreTransientSimulator",
     "MulticoreTransientResult",
-    "TraceRecorder",
 ]

@@ -98,22 +98,20 @@ class SafetyProbe:
         jitter, OS background activity).  The paper's repeated experiments
         produce limit distributions spanning at most ~2 configuration
         steps, which corresponds to a fraction of a typical step width.
-    failure_model:
-        Sampler for how violations manifest.
+
+    Failing probes draw how the violation manifests from the default
+    :class:`~repro.atm.failure.FailureModel`.
     """
 
     def __init__(
         self,
         rng: np.random.Generator,
         noise_sigma_ps: float = 0.25,
-        failure_model: FailureModel | None = None,
     ):
         check_noise_sigma(noise_sigma_ps)
         self._rng = rng
         self._noise_sigma_ps = noise_sigma_ps
-        self._failure_model = (
-            failure_model if failure_model is not None else FailureModel()
-        )
+        self._failure_model = FailureModel()
         self._probe_count = 0
 
     @property

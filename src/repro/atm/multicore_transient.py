@@ -20,15 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dpll.control_loop import DpllControlLoop, LoopConfig
+from ..dpll.control_loop import LoopConfig
 from ..errors import ConfigurationError
-from ..power.didt import DidtEvent, DidtEventGenerator
-from ..power.pdn import DroopResponse, PowerDeliveryNetwork
+from ..power.didt import DidtEventGenerator
 from ..silicon.chipspec import ChipSpec
 from ..units import require_positive
 from ..workloads.base import Workload
-from .core_sim import equilibrium_frequency_mhz
-from .transient import TransientSimulator, segment_matrix, droop_voltage_array
+from .transient import check_reductions, checked_loop_config, run_intervals
 
 
 @dataclass(frozen=True)
@@ -53,42 +51,21 @@ class MulticoreTransientResult:
 
 
 class MulticoreTransientSimulator:
-    """Shared-supply transient simulation across a chip's cores."""
+    """Shared-supply transient simulation across a chip's cores.
+
+    ``loop_config`` and ``dt_ns`` are checked as
+    :class:`~repro.atm.transient.TransientSimulator` checks them.
+    """
 
     def __init__(
         self,
         chip: ChipSpec,
         loop_config: LoopConfig | None = None,
-        droop: DroopResponse | None = None,
         dt_ns: float = 0.25,
     ):
-        require_positive(dt_ns, "dt_ns")
+        self._loop_config = checked_loop_config(loop_config, dt_ns)
         self._chip = chip
-        self._loop_config = loop_config if loop_config is not None else LoopConfig()
-        self._droop = droop if droop is not None else DroopResponse()
-        self._pdn = PowerDeliveryNetwork(
-            resistance_ohm=chip.pdn_resistance_ohm, vrm_voltage=chip.vrm_voltage
-        )
         self._dt_ns = dt_ns
-
-    def _draw_events(
-        self,
-        rng: np.random.Generator,
-        workload: Workload,
-        duration_ns: float,
-        synchronized: bool,
-        generator: DidtEventGenerator,
-    ) -> list[list[DidtEvent]]:
-        """One event train per core; aligned in time when synchronized."""
-        n_cores = self._chip.n_cores
-        if synchronized:
-            # One master train; every core steps at the same instants.
-            master = generator.events(rng, duration_ns, workload.didt_activity)
-            return [list(master) for _ in range(n_cores)]
-        return [
-            generator.events(rng, duration_ns, workload.didt_activity)
-            for _ in range(n_cores)
-        ]
 
     def run(
         self,
@@ -104,101 +81,44 @@ class MulticoreTransientSimulator:
     ) -> MulticoreTransientResult:
         """Simulate the whole chip under ``workload`` on every core."""
         require_positive(duration_ns, "duration_ns")
-        if len(reductions) != self._chip.n_cores:
-            raise ConfigurationError(
-                f"reductions must have {self._chip.n_cores} entries"
-            )
+        cores = self._chip.cores
+        if len(reductions) != len(cores):
+            raise ConfigurationError(f"reductions must have {len(cores)} entries")
+        check_reductions(cores, reductions)
         generator = (
             didt_generator if didt_generator is not None else DidtEventGenerator()
         )
-        event_trains = self._draw_events(
-            rng, workload, duration_ns, synchronized, generator
+        # One event train per core, or, when synchronized, one master train
+        # every core steps with.  Every train lands on the shared rail.
+        if synchronized:
+            master = generator.events(rng, duration_ns, workload.didt_activity)
+            trains = [master] * len(cores)
+        else:
+            trains = [
+                generator.events(rng, duration_ns, workload.didt_activity)
+                for _ in cores
+            ]
+        all_events = [event for train in trains for event in train]
+        run = run_intervals(
+            self._chip,
+            cores,
+            reductions,
+            workload,
+            all_events,
+            self._loop_config,
+            dt_ns=self._dt_ns,
+            duration_ns=duration_ns,
+            dc_chip_power_w=dc_chip_power_w,
+            temperature_c=temperature_c,
         )
-        dc_voltage = self._pdn.chip_voltage_v(dc_chip_power_w)
-
-        # Flatten all trains once: every event perturbs the shared rail.
-        all_events = [event for train in event_trains for event in train]
-
-        # Reuse the single-core machinery per core, but drive all cores
-        # from the shared voltage waveform.
-        core_sims = [
-            TransientSimulator(
-                self._chip, core, self._loop_config, self._droop, self._dt_ns
-            )
-            for core in self._chip.cores
-        ]
-        loops = []
-        for index, core in enumerate(self._chip.cores):
-            start = equilibrium_frequency_mhz(
-                self._chip, core, reductions[index], dc_voltage, temperature_c
-            )
-            loops.append(DpllControlLoop(self._loop_config, initial_mhz=start))
-
-        steps_per_eval = max(
-            1, int(round(self._loop_config.evaluation_interval_ns / self._dt_ns))
-        )
-        n_steps = int(duration_ns / self._dt_ns)
-        min_voltage = dc_voltage
-        violations = {core.label: 0 for core in self._chip.cores}
-        gated_counts = {core.label: 0 for core in self._chip.cores}
-
-        # The shared rail is input-only, so the whole waveform — and each
-        # core's (V, T) delay-scale trajectory — is precomputed; cores with
-        # identical synthetic-path electricals share one scale array.
-        voltage = droop_voltage_array(
-            self._droop, self._dt_ns, n_steps, dc_voltage, all_events
-        )
-        if n_steps:
-            min_voltage = min(min_voltage, float(voltage.min()))
-        scale_by_key: dict[tuple, np.ndarray] = {}
-        scales = []
-        real_worst_matrices = []
-        for index, core in enumerate(self._chip.cores):
-            synth = core.synth_path
-            key = (synth.v_threshold, synth.alpha, synth.temp_coefficient_per_c)
-            if key not in scale_by_key:
-                scale_by_key[key] = core_sims[index]._scale_array(
-                    voltage, temperature_c
-                )
-            scales.append(scale_by_key[key])
-            coeff = core_sims[index]._real_worst_coeff_ps(reductions[index], workload)
-            real_worst_matrices.append(
-                segment_matrix(coeff * scale_by_key[key], steps_per_eval)
-            )
-
-        # Loop evaluations stay step-by-step, in core order, so DPLL slew
-        # trajectories and emitted events match the stepwise loop.  Each
-        # core's cycle time is constant within an interval, so only the
-        # cycle times are collected here (+inf while gated) and all deficit
-        # comparisons happen as one matrix operation per core afterwards.
-        cycles_ps: list[list[float]] = [[] for _ in self._chip.cores]
-        for seg_start in range(0, n_steps, steps_per_eval):
-            for index, core in enumerate(self._chip.cores):
-                loop = loops[index]
-                cycle_ps = 1.0e6 / loop.frequency_mhz
-                margin = core_sims[index]._margin_units_scaled(
-                    cycle_ps, float(scales[index][seg_start]), reductions[index]
-                )
-                result = loop.step(margin)
-                if result.violation:
-                    gated_counts[core.label] += 1
-                    cycles_ps[index].append(np.inf)
-                else:
-                    cycles_ps[index].append(1.0e6 / loop.frequency_mhz)
-        for index, core in enumerate(self._chip.cores):
-            violations[core.label] = int(
-                np.count_nonzero(
-                    real_worst_matrices[index]
-                    - np.array(cycles_ps[index])[:, None]
-                    > 0.0
-                )
-            )
-
+        labels = [core.label for core in cores]
         return MulticoreTransientResult(
             duration_ns=duration_ns,
-            dc_voltage_v=dc_voltage,
-            min_voltage_v=min_voltage,
-            per_core_violations=violations,
-            per_core_gated=gated_counts,
+            dc_voltage_v=run.dc_voltage_v,
+            min_voltage_v=run.min_voltage_v,
+            per_core_violations=dict(zip(labels, run.violations)),
+            per_core_gated=dict(
+                zip(labels, np.count_nonzero(run.gated, axis=0).tolist())
+            ),
             total_events=len(all_events),
         )

@@ -41,7 +41,6 @@ from ..fastpath.store import (
     configure_worker_store,
     diff_stats,
     get_store,
-    publish_store_counters,
 )
 from ..obs.manifest import RunManifest, build_manifest, save_manifest
 from ..obs.metrics import MetricsRegistry
@@ -275,7 +274,6 @@ def _characterized_chunk(
     store = get_store()
     records: list[dict | None] = [None] * len(draws)
     keys: list[bytes | None] = [None] * len(draws)
-    corrupt = [0] * len(draws)
     if store is not None:
         for position, (index, draw) in enumerate(zip(chunk, draws)):
             keys[position] = key = char_key(
@@ -286,15 +284,12 @@ def _characterized_chunk(
                 noise_sigma_ps=noise_sigma_ps,
                 workloads=(IDLE, *UBENCH_SUITE),
             )
-            corrupt_before = store.corrupt_entries
             payload = store.get(KIND_CHAR, key)
-            corrupt[position] = store.corrupt_entries - corrupt_before
             if payload is None:
                 continue
             record = decode_char(payload)
             if record is not None and record["labels"] == list(draw.labels):
                 records[position] = record
-                publish_store_counters(hits=1, corrupt=corrupt[position])
             else:
                 store.reject(KIND_CHAR, key)
 
@@ -310,13 +305,8 @@ def _characterized_chunk(
     for position, record in enumerate(records):
         if record is None:
             record, payload = next(fresh)
-            if store is not None:
-                wrote = payload is not None and store.put(
-                    KIND_CHAR, keys[position], payload
-                )
-                publish_store_counters(
-                    misses=1, writes=1 if wrote else 0, corrupt=corrupt[position]
-                )
+            if store is not None and payload is not None:
+                store.put(KIND_CHAR, keys[position], payload)
         yield replay_characterization(record, obs)
 
 

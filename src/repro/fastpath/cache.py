@@ -11,9 +11,9 @@ serial fleet run's memo at :data:`DEFAULT_MAX_ENTRIES` states however many
 chips stream through it.  Experiment harnesses reset it at the start of
 every experiment run so which rows hit — and therefore ``chip.solves`` —
 is a property of the experiment, whether experiments run serially in one
-process or fanned out across a pool.  The ``fastpath.cache.*`` counters it
-feeds into :mod:`repro.obs.metrics` also depend on LRU history and worker
-partitioning, so they are execution-scoped and kept out of manifests.
+process or fanned out across a pool.  Its hit, miss and eviction counts
+depend on LRU history and worker partitioning, so they live only here
+(:meth:`SolveCache.stats`), never in a run's metrics.
 """
 
 from __future__ import annotations
@@ -68,14 +68,7 @@ class SolveCache:
         return self.hits / total if total else 0.0
 
     def stats(self) -> dict[str, int]:
-        """Counter snapshot in the mergeable-partial shape.
-
-        The keys match the ``fastpath.cache.*`` obs counters, so pool
-        workers can ship their process-local cache activity home and the
-        parent can fold it into the shared registry with plain
-        ``counter(name).inc(value)`` adds — the same order-invariant
-        merge the rest of the streaming layer uses.
-        """
+        """Hit, miss and eviction counts, plus the live ``entries`` size."""
         return {
             "hits": self.hits,
             "misses": self.misses,

@@ -43,7 +43,6 @@ from .store import (
     decode_compiled,
     encode_compiled,
     get_store,
-    publish_store_counters,
 )
 
 
@@ -378,30 +377,20 @@ def _compile_through_store(
     The one store path of :func:`compile_chip` and :func:`compile_draw`:
     a record that decodes to ``n_cores`` cores is rebuilt zero-copy
     around ``chip`` and counted a hit; a missing or rejected record is
-    counted a miss in both the store's stats and the
-    ``fastpath.store.*`` counters, and the fresh compile is written back
-    (writable stores only).
+    counted a miss in the store's stats, and the fresh compile is written
+    back (writable stores only).
     """
     key = compiled_key(fingerprint)
-    corrupt_before = store.corrupt_entries
     payload = store.get(KIND_COMPILED, key)
     if payload is not None:
         tables = decode_compiled(payload)
         if tables is not None and tables["n_cores"] == n_cores:
-            publish_store_counters(
-                hits=1, corrupt=store.corrupt_entries - corrupt_before
-            )
             return CompiledChip.from_tables(
                 tables, chip=chip, thermal=thermal, fingerprint=fingerprint
             )
         store.reject(KIND_COMPILED, key)
     result = build()
-    wrote = store.put(KIND_COMPILED, key, encode_compiled(result))
-    publish_store_counters(
-        misses=1,
-        writes=1 if wrote else 0,
-        corrupt=store.corrupt_entries - corrupt_before,
-    )
+    store.put(KIND_COMPILED, key, encode_compiled(result))
     return result
 
 

@@ -41,9 +41,10 @@ a failed solve publishes nothing.  A row that an earlier entry of the same
 call already missed (a twin chip with the same content-addressed
 fingerprint) is served from that solve and counts as a memo hit; a row
 repeated inside one entry is solved once per occurrence.  States and
-``chip.*`` metrics therefore match a per-chip ``solve_many`` loop.  The
-``fastpath.cache.*`` counters reflect LRU history, so they are
-execution-scoped and stay out of run manifests.
+``chip.*`` metrics therefore match a per-chip ``solve_many`` loop.  Memo
+and store traffic is counted only in ``SolveCache.stats()`` and
+``SolveStore.stats()``: it reflects LRU history and what is on disk, not
+the run.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ from .store import (
     decode_state,
     encode_state,
     get_store,
-    publish_store_counters,
     state_key,
 )
 from .solver import (
@@ -249,7 +249,6 @@ def _solve_batch(
     store = get_store()
     solved: list = [None] * len(batch)
     store_keys: list = [None] * len(batch)
-    corrupt_before = store.corrupt_entries if store is not None else 0
     if store is not None:
         for slot, (entry_index, row) in enumerate(batch):
             compiled, _rows, warm = entries[entry_index]
@@ -284,20 +283,9 @@ def _solve_batch(
     for slot, state in zip(live, live_solved):
         solved[slot] = state
 
-    if store is not None:
-        writes = 0
-        if store.writable:
-            for slot in live:
-                if store.put(
-                    KIND_STATE, store_keys[slot], encode_state(solved[slot])
-                ):
-                    writes += 1
-        publish_store_counters(
-            hits=len(batch) - len(live),
-            misses=len(live),
-            writes=writes,
-            corrupt=store.corrupt_entries - corrupt_before,
-        )
+    if store is not None and store.writable:
+        for slot in live:
+            store.put(KIND_STATE, store_keys[slot], encode_state(solved[slot]))
     return solved
 
 
@@ -343,7 +331,6 @@ def solve_chips_cached(entries: Sequence[tuple]) -> list[list]:
 
     solved = _solve_batch(entries, batch) if batch else []
     obs = get_obs()
-    evictions_before = cache.evictions
     for (compiled, rows, _warm), states, (missed, served) in zip(
         entries, results, pending
     ):
@@ -351,28 +338,20 @@ def solve_chips_cached(entries: Sequence[tuple]) -> list[list]:
             states[row_index] = solved[slot]
         for row_index, slot in missed:
             cache.put((compiled.fingerprint, rows[row_index]), solved[slot])
-        if not obs.enabled:
+        if not obs.enabled or not missed:
             continue
-        hits = len(rows) - len(missed)
-        if hits:
-            obs.metrics.counter("fastpath.cache.hits").inc(hits)
-        if missed:
-            obs.metrics.counter("fastpath.cache.misses").inc(len(missed))
-            obs.metrics.counter("chip.solves").inc(len(missed))
-            for _row_index, slot in missed:
-                obs.metrics.histogram("chip.solve_iterations").observe(
-                    float(solved[slot].iterations)
-                )
-            # Tick = hashed chip id: partition-invariant, so the merged
-            # gauge's "last" is identical no matter which worker solved
-            # this chip (see identity_tick).
-            obs.metrics.gauge("chip.power_w").set(
-                float(solved[missed[-1][1]].chip_power_w),
-                tick=identity_tick(compiled.chip.chip_id),
+        obs.metrics.counter("chip.solves").inc(len(missed))
+        for _row_index, slot in missed:
+            obs.metrics.histogram("chip.solve_iterations").observe(
+                float(solved[slot].iterations)
             )
-    evicted = cache.evictions - evictions_before
-    if evicted and obs.enabled:
-        obs.metrics.counter("fastpath.cache.evictions").inc(evicted)
+        # Tick = hashed chip id: partition-invariant, so the merged
+        # gauge's "last" is identical no matter which worker solved this
+        # chip (see identity_tick).
+        obs.metrics.gauge("chip.power_w").set(
+            float(solved[missed[-1][1]].chip_power_w),
+            tick=identity_tick(compiled.chip.chip_id),
+        )
     return results
 
 

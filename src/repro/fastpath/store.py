@@ -68,9 +68,7 @@ _ENTRY = struct.Struct("<32sBxxxIQQ")  # key, kind, crc32, offset, length
 _HEADER_SIZE = _HEADER.size  # 16
 _ENTRY_SIZE = _ENTRY.size  # 56
 
-#: Counter keys of :meth:`SolveStore.stats` (the mergeable-partial shape,
-#: matching the ``fastpath.store.*`` obs counters like ``SolveCache.stats``
-#: matches ``fastpath.cache.*``).
+#: Counter keys of :meth:`SolveStore.stats` (the mergeable-partial shape).
 STAT_KEYS = (
     "hits",
     "misses",
@@ -294,10 +292,9 @@ class SolveStore:
     def stats(self) -> dict[str, int]:
         """Counter snapshot in the mergeable-partial shape.
 
-        Keys match the ``fastpath.store.*`` obs counters plus an
-        ``entries`` size (not a counter — excluded from merges), so pool
-        workers can ship their store activity home exactly like
-        :meth:`SolveCache.stats` partials.
+        The :data:`STAT_KEYS` counters plus an ``entries`` size (not a
+        counter — excluded from merges), so pool workers can ship their
+        store activity home as :func:`diff_stats` deltas.
         """
         out = {
             "hits": self.hits,
@@ -602,36 +599,6 @@ def decode_compiled(payload) -> dict | None:
         payload, "<f8", count=n_cores * max_codes, offset=offset
     ).reshape(n_cores, max_codes)
     return out
-
-
-def publish_store_counters(
-    *, hits: int = 0, misses: int = 0, writes: int = 0, corrupt: int = 0
-) -> None:
-    """Mirror store traffic into the ``fastpath.store.*`` obs counters.
-
-    Store counters describe how a run was *served* (which disk happened
-    to hold which record), not what the run computed, so
-    :meth:`~repro.obs.metrics.MetricsRegistry.to_summary` excludes the
-    prefix — manifests stay byte-identical across store states — while
-    ``to_state``/``merge_state`` keep them, so pool-worker partials fold
-    home for operator rollups.
-    """
-    if not (hits or misses or writes or corrupt):
-        return
-    from ..obs.runtime import get_obs
-
-    obs = get_obs()
-    if not obs.enabled:
-        return
-    metrics = obs.metrics
-    if hits:
-        metrics.counter("fastpath.store.hits").inc(hits)
-    if misses:
-        metrics.counter("fastpath.store.misses").inc(misses)
-    if writes:
-        metrics.counter("fastpath.store.writes").inc(writes)
-    if corrupt:
-        metrics.counter("fastpath.store.corrupt_entries").inc(corrupt)
 
 
 # -- process-wide configuration ---------------------------------------------

@@ -20,7 +20,7 @@ from pathlib import Path
 from ..errors import ConfigurationError
 
 #: Manifest schema version (bump on incompatible shape changes).  Schema 2
-#: drops the execution-scoped ``fastpath.cache.*`` counters from
+#: dropped the ``fastpath.cache.*`` memo counters from
 #: ``metrics_summary``; schema 3 summarizes every gauge from its quantile
 #: sketch (``"mode": "streaming"``), where exact-mode gauges used to carry
 #: numpy percentiles.  Schema-1 and schema-2 manifests still load.

@@ -239,18 +239,6 @@ class Histogram:
 #: 2 drops the gauge-mode keys: every gauge is a sketch.
 REGISTRY_STATE_SCHEMA = 2
 
-#: Instrument-name prefixes that describe the *execution environment*
-#: (what happened to be cached in this process or on this machine) rather
-#: than the physics of the run: the solve store's traffic depends on what
-#: is on disk, and the in-memory solve memo's on its LRU history and on
-#: how chunks were partitioned across pool workers.  They stay live in the
-#: registry — and in the state dicts pool workers ship home, so parents
-#: see fleet-wide totals — but :meth:`MetricsRegistry.to_summary` omits
-#: them, keeping run manifests byte-identical whether the store was cold,
-#: warm, or disabled and whether the run was serial or pooled.  Read them
-#: via ``repro store stats`` / ``SolveStore.stats`` / ``SolveCache.stats``.
-EXECUTION_SCOPED_PREFIXES = ("fastpath.store.", "fastpath.cache.")
-
 _INSTRUMENT_KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 
 
@@ -365,17 +353,9 @@ class MetricsRegistry:
         self.merge(MetricsRegistry.from_state(state))
 
     def to_summary(self) -> dict[str, dict]:
-        """Deterministic nested-dict summary of every instrument.
-
-        Execution-scoped instruments (:data:`EXECUTION_SCOPED_PREFIXES`)
-        are omitted: they report store and memo traffic, which varies with
-        what is on disk and with process history, and a run's summary
-        must not.
-        """
+        """Deterministic nested-dict summary of every instrument."""
         summary: dict[str, dict] = {}
         for name in self.names():
-            if name.startswith(EXECUTION_SCOPED_PREFIXES):
-                continue
             instrument = self._instruments[name]
             if isinstance(instrument, Counter):
                 summary[name] = {"kind": "counter", "value": instrument.value}

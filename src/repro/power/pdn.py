@@ -117,23 +117,13 @@ class DroopResponse:
             )
         return self.mv_per_amp_step * current_step_a / 1000.0
 
-    def waveform_v(self, time_ns: float, current_step_a: float) -> float:
-        """Voltage deviation at ``time_ns`` after a current step (<= 0)."""
-        if time_ns < 0.0:
-            raise ConfigurationError(f"time must be >= 0, got {time_ns}")
-        amplitude = self.amplitude_v(current_step_a)
-        phase = 2.0 * math.pi * self.resonance_mhz * time_ns / 1000.0
-        envelope = math.exp(-time_ns / self.damping_tau_ns)
-        return -amplitude * envelope * math.sin(phase)
-
     def waveform_array_v(
         self, times_ns: np.ndarray, current_step_a: float
     ) -> np.ndarray:
-        """Vectorized :meth:`waveform_v` over an array of elapsed times.
+        """Voltage deviation (<= 0) at each of ``times_ns`` after a current step.
 
-        Evaluates the same expression, term by term, for every element;
-        the transient simulators use it to precompute whole voltage
-        waveforms instead of re-summing active droops at every step.
+        The transient kernel builds a whole supply waveform from it, one
+        array per event, instead of re-summing active droops at every step.
         """
         if times_ns.size and float(times_ns.min()) < 0.0:
             raise ConfigurationError(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.atm.multicore_transient import MulticoreTransientSimulator
+from repro.dpll.control_loop import LoopConfig
 from repro.errors import ConfigurationError
 from repro.power.didt import DidtEventGenerator
 from repro.silicon.chipspec import (
@@ -105,3 +106,24 @@ class TestValidation:
     def test_duration_checked(self, simulator):
         with pytest.raises(ConfigurationError):
             simulator.run(IDLE, [0] * 8, np.random.default_rng(0), duration_ns=0.0)
+
+    def test_dt_must_not_exceed_interval(self, chip0):
+        """Rejected when the simulator is built, as for one core."""
+        with pytest.raises(ConfigurationError, match="dt_ns must not exceed"):
+            MulticoreTransientSimulator(
+                chip0, LoopConfig(evaluation_interval_ns=1.0), dt_ns=2.0
+            )
+
+    @pytest.mark.parametrize("side", ["below", "above"])
+    def test_reduction_range_checked_before_drawing(self, simulator, chip0, side):
+        """A reduction outside [0, preset] is named as the caller passed
+        it, before any event is drawn."""
+        core = chip0.cores[3]
+        reductions = [0] * 8
+        reductions[3] = -1 if side == "below" else core.preset_code + 1
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        message = rf"{core.label}: reduction must be in \[0, {core.preset_code}\]"
+        with pytest.raises(ConfigurationError, match=message):
+            simulator.run(VOLTAGE_VIRUS, reductions, rng)
+        assert rng.bit_generator.state == state

@@ -37,16 +37,15 @@ class TestQuietRuns:
         assert result.events == ()
 
     def test_trace_recorded_on_request(self, simulator):
-        result = simulator.run(
-            IDLE, 0, np.random.default_rng(2), duration_ns=100.0, record_trace=True
-        )
-        assert result.trace is not None
-        assert len(result.trace) == 400  # 100 ns / 0.25 ns
-        assert result.trace.column("vdd").min() > 1.0
-
-    def test_no_trace_by_default(self, simulator):
-        result = simulator.run(IDLE, 0, np.random.default_rng(3), duration_ns=100.0)
-        assert result.trace is None
+        """Every run returns its trajectory: the supply at each step, and
+        the loop's frequency, reading and gate at each 1 ns interval."""
+        result = simulator.run(IDLE, 0, np.random.default_rng(2), duration_ns=100.0)
+        assert result.voltage_v.shape == (400,)  # 100 ns / 0.25 ns
+        assert result.voltage_v.min() > 1.0
+        for per_interval in (result.frequency_mhz, result.margin_units, result.gated):
+            assert per_interval.shape == (100,)
+        assert result.final_frequency_mhz == result.frequency_mhz[-1]
+        assert not result.gated.any()
 
 
 class TestDroopResponse:

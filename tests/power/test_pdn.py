@@ -1,5 +1,6 @@
 """Tests for the power-delivery network (IR drop, droop response)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -56,19 +57,19 @@ class TestIrDrop:
 class TestDroopResponse:
     def test_waveform_zero_at_t0(self):
         droop = DroopResponse()
-        assert droop.waveform_v(0.0, 10.0) == pytest.approx(0.0)
+        assert droop.waveform_array_v(np.array([0.0]), 10.0)[0] == pytest.approx(0.0)
 
     def test_first_swing_is_negative(self):
         droop = DroopResponse()
         t_swing = droop.first_swing_time_ns()
-        assert droop.waveform_v(t_swing, 10.0) < 0.0
+        assert droop.waveform_array_v(np.array([t_swing]), 10.0)[0] < 0.0
 
     def test_first_swing_is_deepest(self):
         droop = DroopResponse()
         t_swing = droop.first_swing_time_ns()
-        depth = droop.waveform_v(t_swing, 10.0)
-        later_times = [t_swing + k for k in (5.0, 10.0, 20.0, 40.0)]
-        assert all(droop.waveform_v(t, 10.0) >= depth for t in later_times)
+        times = t_swing + np.array([0.0, 5.0, 10.0, 20.0, 40.0])
+        depth, *later = droop.waveform_array_v(times, 10.0)
+        assert all(value >= depth for value in later)
 
     def test_amplitude_scales_with_step(self):
         droop = DroopResponse()
@@ -76,7 +77,7 @@ class TestDroopResponse:
 
     def test_decays_out(self):
         droop = DroopResponse(damping_tau_ns=10.0)
-        assert abs(droop.waveform_v(200.0, 10.0)) < 1e-6
+        assert abs(droop.waveform_array_v(np.array([200.0]), 10.0)[0]) < 1e-6
 
     def test_first_swing_faster_than_slow_loops(self):
         # The first swing must land in single-digit nanoseconds — the
@@ -86,7 +87,7 @@ class TestDroopResponse:
 
     def test_negative_time_rejected(self):
         with pytest.raises(ConfigurationError):
-            DroopResponse().waveform_v(-1.0, 10.0)
+            DroopResponse().waveform_array_v(np.array([0.0, -1.0]), 10.0)
 
     def test_negative_step_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -297,6 +297,22 @@ else
 fi
 rm -rf "$flame_tmp"
 
+echo "== examples (each script as its own process, default arguments) =="
+# Tier-1 runs them in-process (tests/integration/test_examples.py); this
+# runs each one as a user would and fails on a nonzero exit.
+examples_ok=1
+for example in examples/*.py; do
+    if ! python "$example" >/dev/null; then
+        echo "example FAILED: $example"
+        examples_ok=0
+    fi
+done
+if [ "$examples_ok" -eq 1 ]; then
+    echo "examples ok"
+else
+    failures=$((failures + 1))
+fi
+
 echo "== tier-1 pytest =="
 python -m pytest -x -q || failures=$((failures + 1))
 
