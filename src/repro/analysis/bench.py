@@ -241,9 +241,10 @@ class StoreBench:
 
     The cold pass populates a fresh store (characterize + compile + solve,
     plus record writes); the warm pass re-runs the identical fleet against
-    that store and must serve every characterization, compiled table, and
-    converged state from disk.  Reports are checked byte-equal before the
-    numbers are reported, so the speedup can never come from divergence.
+    that store, compiles each chip from its draw, and must serve every
+    characterization and converged state from disk.  Reports are checked
+    byte-equal before the numbers are reported, so the speedup can never
+    come from divergence.
     """
 
     n_chips: int
@@ -730,12 +731,7 @@ def compare_to_baseline(
     shape, gating ``warm`` against ``cold / floor``.  Returns
     ``(ok, text)`` — the caller turns ``ok=False`` into a non-zero exit.
     """
-    if threshold <= 0.0:
-        raise ConfigurationError(f"threshold must be > 0, got {threshold}")
-    if noise_floor_s < 0.0:
-        raise ConfigurationError(
-            f"noise floor must be >= 0, got {noise_floor_s}"
-        )
+    gates.check_ratio_gate(threshold, noise_floor_s)
     path = Path(baseline_path)
     if not path.exists():
         raise ConfigurationError(f"no bench baseline at {path}")

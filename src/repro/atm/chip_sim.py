@@ -209,11 +209,8 @@ class ChipSim:
 
     @property
     def compiled(self) -> "CompiledChip":
-        """Array tables for the vectorized solver, built on first use.
-
-        Served zero-copy from the persistent solve store when one is
-        configured (:func:`repro.fastpath.compiled.compile_chip`).
-        """
+        """Array tables for the vectorized solver, built on first use
+        (:func:`repro.fastpath.compiled.compile_chip`)."""
         if self._compiled is None:
             from ..fastpath.compiled import compile_chip
 

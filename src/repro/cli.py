@@ -41,8 +41,8 @@ Mirrors the stages a vendor/operator would actually run:
     Chunked fleet characterization; streaming gauges and
     ``--segment-events`` keep memory bounded at any fleet size, and the
     outputs are byte-identical across chunk sizes and job counts.
-    ``--solve-store`` persists characterizations, compiled tables, and
-    converged states so a warm second run replays them from disk.
+    ``--solve-store`` persists characterizations and converged states so
+    a warm second run replays them from disk and only compiles each chip.
     ``--alerts``/``--slo`` evaluate rule packs over per-chip series
     captured into a tsdb (``--tsdb DIR`` persists the series files) and
     print an incident digest, exiting non-zero on any firing.
@@ -141,7 +141,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     from .analysis.bench import compare_to_baseline, run_bench
+    from .obs.stream.gates import check_ratio_gate
 
+    check_ratio_gate(args.compare_threshold, args.noise_floor_ms)
     ids = (
         [part.strip() for part in args.experiments.split(",") if part.strip()]
         if args.experiments
@@ -469,7 +471,9 @@ def _cmd_obs_history(args: argparse.Namespace) -> int:
         render_history,
     )
     from .obs.analyze.store import RunStore
+    from .obs.stream.gates import check_ratio_gate
 
+    check_ratio_gate(args.threshold, args.noise_floor_ms)
     store = RunStore(args.store)
     metrics = (
         [part.strip() for part in args.metrics.split(",") if part.strip()]
@@ -632,7 +636,9 @@ def _cmd_obs_alerts_eval(args: argparse.Namespace) -> int:
 def _cmd_obs_report(args: argparse.Namespace) -> int:
     from .obs.analyze.report import build_report, render_json, render_markdown
     from .obs.analyze.store import RunStore
+    from .obs.stream.gates import check_ratio_gate
 
+    check_ratio_gate(args.threshold)
     fleet_health = None
     if args.fleet_chips > 0:
         from .core.fleet_health import assess_fleet
@@ -698,7 +704,8 @@ def _cmd_store_stats(args: argparse.Namespace) -> int:
         print(f"    {kind:<9} {count}")
     print(f"  data bytes: {report['data_bytes']}")
     print(f"  reclaimable: {report['unreferenced_bytes']} "
-          f"(superseded / torn records; `repro store prune` compacts)")
+          f"(superseded, torn or retired-kind records; "
+          f"`repro store prune` compacts)")
     if report["corrupt"]:
         print(f"  corrupt: {report['corrupt']} record(s) dropped on read")
     return 0
@@ -737,9 +744,11 @@ def _cmd_store_prune(args: argparse.Namespace) -> int:
     finally:
         store.close()
     dropped = before["entries"] - report["kept"]
+    reclaimed = before["data_bytes"] - report["data_bytes"]
     print(
         f"solve store {report['path']}: kept {report['kept']} record(s), "
-        f"dropped {dropped}, data now {report['data_bytes']} bytes"
+        f"dropped {dropped}, reclaimed {reclaimed} bytes, "
+        f"data now {report['data_bytes']} bytes"
     )
     return 0
 
@@ -966,9 +975,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_fchar.add_argument(
         "--solve-store", default=None, dest="solve_store",
-        help="persist characterizations, compiled tables, and converged "
-             "states in this directory; a warm second run replays them "
-             "from disk with byte-identical outputs",
+        help="persist characterizations and converged states in this "
+             "directory; a warm second run replays them from disk with "
+             "byte-identical outputs",
     )
     p_fchar.add_argument(
         "--alerts", default=None,

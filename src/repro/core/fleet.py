@@ -503,10 +503,9 @@ def _process_chunk(
     worst-rollback columns, its assignment rows are plain
     :class:`CoreAssignment` tuples checked against the chunk's preset
     codes (one ``tolist()`` of the drawn block), and :func:`compile_draw`
-    compiles its tables from the draw or serves them from the persistent
-    store.  The solve batch (:func:`solve_chips_cached`) serves stored
-    converged states from disk too, and every record a cold chip produces
-    is written back.
+    compiles its tables from the draw.  The solve batch
+    (:func:`solve_chips_cached`) serves stored converged states from
+    disk, and every record a cold chip produces is written back.
     """
     # One assignment object per distinct (mode, reduction) in the chunk,
     # so each pays its first (memoized) hash in the solve memo once.
@@ -637,7 +636,7 @@ def _characterize_chunk_worker(
     nondeterministic).
 
     ``store_root`` synchronizes the worker to the parent's persistent
-    store, opened *read-only*: the store's compiled pages are shared
+    store, opened *read-only*: the store's record pages are shared
     zero-copy across the pool through the common mmap, and a worker that
     cannot serve a record recomputes it, so results never depend on
     which process handled a chunk.  The worker's store-counter delta is
@@ -860,8 +859,12 @@ def run_fleet_observed(
     ``segment_events > 0`` rotates the event stream through a
     :class:`~repro.obs.stream.rotate.RotatingJsonlSink` every that many
     events; the manifest digest covers the logical concatenation, so it
-    is byte-identical to the single-file run.
+    is byte-identical to the single-file run; ``0`` writes one file.
     """
+    if segment_events < 0:
+        raise ConfigurationError(
+            f"segment events must be >= 0, got {segment_events}"
+        )
     reset_solve_cache()
     target_dir = Path(out_dir)
     target_dir.mkdir(parents=True, exist_ok=True)

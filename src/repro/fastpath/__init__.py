@@ -11,12 +11,13 @@ and :func:`solve_population_compiled` gathers each row's parameters from
 a stacked :class:`CompiledPopulation`.
 
 Below the in-memory cache sits an optional disk layer
-(:class:`~repro.fastpath.store.SolveStore`): compiled tables, converged
-states, and characterization transcripts persist under the same
-content addresses, so a warm second run — or a read-only pool worker
-sharing the mmap — skips compile and solve entirely.  Configure it with
-:func:`configure_store` (the fleet CLI's ``--solve-store``); it is off
-by default and changes no result bytes when on.
+(:class:`~repro.fastpath.store.SolveStore`): converged states and
+characterization transcripts persist under content addresses, so a warm
+second run — or a read-only pool worker sharing the mmap — skips
+characterization and solve entirely and only compiles each chip from its
+draw.  Configure it with :func:`configure_store` (the fleet CLI's
+``--solve-store``); it is off by default and changes no result bytes
+when on.
 
 The scalar :meth:`repro.atm.chip_sim.ChipSim.solve_steady_state_reference`
 is the test oracle: the kernel reproduces it within ~1e-12 MHz

@@ -14,7 +14,10 @@ regardless of object identity or ``chip_id``, which is what lets
 :class:`repro.fastpath.cache.SolveCache` and the persistent store share
 converged states across equal chips (e.g. the testbed rebuilt by every
 experiment).  :func:`fingerprint_from_draw` packs the same bytes straight
-from a :class:`~repro.silicon.chipspec.ChipDraw`'s block row.
+from a :class:`~repro.silicon.chipspec.ChipDraw`'s block row, and
+:meth:`CompiledChip.from_draw` builds the tables from that row.  Every
+chip is compiled in-process: the store keeps no tables, because
+compiling from a draw costs about what reading them back did.
 """
 
 from __future__ import annotations
@@ -37,13 +40,6 @@ from ..silicon.chipspec import (
 )
 from ..silicon.paths import PathTimingModel
 from ..units import NOMINAL_VDD
-from .store import (
-    KIND_COMPILED,
-    compiled_key,
-    decode_compiled,
-    encode_compiled,
-    get_store,
-)
 
 
 #: Version tag leading every solver fingerprint's hashed bytes.
@@ -77,8 +73,9 @@ def _fingerprint(ints: bytes, chip_terms, thermal: ThermalModel, floats: bytes) 
     ).hexdigest()
 
 
-def _chip_fingerprint(chip: ChipSpec, thermal: ThermalModel) -> str:
-    """:func:`_fingerprint` of every quantity the solver reads off ``chip``."""
+def fingerprint_of(chip: ChipSpec, thermal: ThermalModel | None = None) -> str:
+    """The chip's ``"solver-v2"`` content address, without compiling it:
+    :func:`_fingerprint` of every quantity the solver reads off ``chip``."""
     cores = chip.cores
     ints = (
         len(cores),
@@ -98,14 +95,9 @@ def _chip_fingerprint(chip: ChipSpec, thermal: ThermalModel) -> str:
     return _fingerprint(
         struct.pack(f"<{len(ints)}q", *ints),
         (chip.pdn_resistance_ohm, chip.uncore_power_w, chip.vrm_voltage, chip.slack_ps),
-        thermal,
+        thermal if thermal is not None else ThermalModel(),
         struct.pack(f"<{len(floats)}d", *floats),
     )
-
-
-def fingerprint_of(chip: ChipSpec, thermal: ThermalModel | None = None) -> str:
-    """The chip's ``"solver-v2"`` content address, without compiling it."""
-    return _chip_fingerprint(chip, thermal if thermal is not None else ThermalModel())
 
 
 #: Coefficient defaults shared by every sampled core and chip (sample_chip
@@ -177,8 +169,8 @@ class ChipRef:
 
     Downstream consumers of ``CompiledChip.chip`` only read ``chip_id``
     (gauge identity ticks, solver error messages); the fleet compiles
-    every chip from its draw or the store and never materializes a
-    :class:`ChipSpec`, so this stands in.
+    every chip from its draw and never materializes a :class:`ChipSpec`,
+    so this stands in.
     """
 
     __slots__ = ("chip_id",)
@@ -219,13 +211,7 @@ class CompiledChip:
         "fingerprint",
     )
 
-    def __init__(
-        self,
-        chip: ChipSpec,
-        thermal: ThermalModel | None = None,
-        *,
-        fingerprint: str | None = None,
-    ):
+    def __init__(self, chip: ChipSpec, thermal: ThermalModel | None = None):
         thermal = thermal if thermal is not None else ThermalModel()
         self.chip = chip
         self.thermal = thermal
@@ -270,59 +256,10 @@ class CompiledChip:
         self.uncore_power_w = float(chip.uncore_power_w)
         self.ambient_c = float(thermal.ambient_c)
         self.thermal_resistance = float(thermal.resistance_c_per_w)
-
-        if fingerprint is None:
-            fingerprint = _chip_fingerprint(chip, thermal)
-        self.fingerprint = fingerprint
+        self.fingerprint = fingerprint_of(chip, thermal)
 
     @classmethod
-    def from_tables(
-        cls,
-        tables: dict,
-        *,
-        chip,
-        thermal: ThermalModel,
-        fingerprint: str,
-    ) -> "CompiledChip":
-        """Rebuild a compiled chip from stored tables, zero-copy.
-
-        ``tables`` is the dict :func:`repro.fastpath.store.decode_compiled`
-        returns: scalars plus read-only numpy views aliasing the store's
-        mmap.  No array is copied — every process mapping the same store
-        shares the physical pages.  The solver treats compiled arrays as
-        immutable, so read-only views are indistinguishable from a fresh
-        compile (and bitwise identical: the store holds the exact bytes).
-        """
-        self = object.__new__(cls)
-        self.chip = chip
-        self.thermal = thermal
-        self.n_cores = tables["n_cores"]
-        self.slack_ps = tables["slack_ps"]
-        self.vrm_voltage = tables["vrm_voltage"]
-        self.pdn_resistance_ohm = tables["pdn_resistance_ohm"]
-        self.uncore_power_w = tables["uncore_power_w"]
-        self.ambient_c = tables["ambient_c"]
-        self.thermal_resistance = tables["thermal_resistance"]
-        for name in (
-            "base_delay_ps",
-            "v_threshold",
-            "alpha",
-            "nominal_alpha_factor",
-            "temp_coeff",
-            "leakage_w",
-            "ceff_w_per_ghz",
-            "leakage_temp_coeff",
-            "preset_code",
-            "insert_table_ps",
-        ):
-            setattr(self, name, tables[name])
-        self.fingerprint = fingerprint
-        return self
-
-    @classmethod
-    def from_draw(
-        cls, draw, *, thermal: ThermalModel, fingerprint: str
-    ) -> "CompiledChip":
+    def from_draw(cls, draw, thermal: ThermalModel | None = None) -> "CompiledChip":
         """Compile a :class:`~repro.silicon.chipspec.ChipDraw` from its block row.
 
         Every array holds the bytes ``CompiledChip(draw.materialize())``
@@ -333,6 +270,7 @@ class CompiledChip:
         sample takes the dataclass default :func:`fingerprint_from_draw`
         restates.  The chip is a :class:`ChipRef`.
         """
+        thermal = thermal if thermal is not None else ThermalModel()
         path, power = _DRAWN_PATH, _DRAWN_POWER
         pdn, uncore, vrm, slack = _DRAWN_CHIP
         block, row = draw.block, draw.row
@@ -340,112 +278,43 @@ class CompiledChip:
         n_cores = len(widths)
         steps = np.zeros((n_cores, widths.shape[1] + 1))
         steps[:, 1:] = widths
-        v_threshold = np.full(n_cores, path.v_threshold)
-        alpha = np.full(n_cores, path.alpha)
-        tables = {
-            "n_cores": n_cores,
-            "slack_ps": float(slack),
-            "vrm_voltage": float(vrm),
-            "pdn_resistance_ohm": float(pdn),
-            "uncore_power_w": float(uncore),
-            "ambient_c": float(thermal.ambient_c),
-            "thermal_resistance": float(thermal.resistance_c_per_w),
-            "base_delay_ps": block.synth_base_ps[row],
-            "v_threshold": v_threshold,
-            "alpha": alpha,
-            "nominal_alpha_factor": _nominal_alpha_factor(v_threshold, alpha),
-            "temp_coeff": np.full(n_cores, path.temp_coefficient_per_c),
-            "leakage_w": block.leakage_w[row],
-            "ceff_w_per_ghz": block.ceff_w_per_ghz[row],
-            "leakage_temp_coeff": np.full(n_cores, power.leakage_temp_coeff_per_c),
-            "preset_code": block.preset_codes[row],
-            "insert_table_ps": np.add.accumulate(steps, axis=1),
-        }
-        return cls.from_tables(
-            tables,
-            chip=ChipRef(draw.chip_id),
-            thermal=thermal,
-            fingerprint=fingerprint,
-        )
+
+        self = object.__new__(cls)
+        self.chip = ChipRef(draw.chip_id)
+        self.thermal = thermal
+        self.n_cores = n_cores
+        self.base_delay_ps = block.synth_base_ps[row]
+        self.insert_table_ps = np.add.accumulate(steps, axis=1)
+        self.slack_ps = float(slack)
+        self.v_threshold = np.full(n_cores, path.v_threshold)
+        self.alpha = np.full(n_cores, path.alpha)
+        self.nominal_alpha_factor = _nominal_alpha_factor(self.v_threshold, self.alpha)
+        self.temp_coeff = np.full(n_cores, path.temp_coefficient_per_c)
+        self.leakage_w = block.leakage_w[row]
+        self.ceff_w_per_ghz = block.ceff_w_per_ghz[row]
+        self.leakage_temp_coeff = np.full(n_cores, power.leakage_temp_coeff_per_c)
+        self.preset_code = block.preset_codes[row]
+        self.vrm_voltage = float(vrm)
+        self.pdn_resistance_ohm = float(pdn)
+        self.uncore_power_w = float(uncore)
+        self.ambient_c = float(thermal.ambient_c)
+        self.thermal_resistance = float(thermal.resistance_c_per_w)
+        self.fingerprint = fingerprint_from_draw(draw, thermal)
+        return self
 
 
-def _compile_through_store(
-    store, fingerprint: str, chip, thermal: ThermalModel, n_cores: int, build
-) -> CompiledChip:
-    """Serve a chip's tables from ``store``, or ``build()`` and write them.
-
-    The one store path of :func:`compile_chip` and :func:`compile_draw`:
-    a record that decodes to ``n_cores`` cores is rebuilt zero-copy
-    around ``chip`` and counted a hit; a missing or rejected record is
-    counted a miss in the store's stats, and the fresh compile is written
-    back (writable stores only).
-    """
-    key = compiled_key(fingerprint)
-    payload = store.get(KIND_COMPILED, key)
-    if payload is not None:
-        tables = decode_compiled(payload)
-        if tables is not None and tables["n_cores"] == n_cores:
-            return CompiledChip.from_tables(
-                tables, chip=chip, thermal=thermal, fingerprint=fingerprint
-            )
-        store.reject(KIND_COMPILED, key)
-    result = build()
-    store.put(KIND_COMPILED, key, encode_compiled(result))
-    return result
-
-
-def compile_chip(
-    chip: ChipSpec,
-    thermal: ThermalModel | None = None,
-    *,
-    fingerprint: str | None = None,
-) -> CompiledChip:
-    """Compile ``chip``, serving the tables from the persistent store if on.
-
-    With no store configured this is exactly ``CompiledChip(chip,
-    thermal)``.  With one, the chip's content address is computed first
-    and a stored record is rebuilt zero-copy off the mmap; on a miss the
-    fresh compile is written back (writable stores only).  Either way the
-    returned object is bitwise identical to a fresh compile — the record
-    holds the exact array bytes, keyed by the physics that produced them.
-    """
-    thermal = thermal if thermal is not None else ThermalModel()
-    store = get_store()
-    if store is None:
-        return CompiledChip(chip, thermal, fingerprint=fingerprint)
-    if fingerprint is None:
-        fingerprint = fingerprint_of(chip, thermal)
-    return _compile_through_store(
-        store,
-        fingerprint,
-        chip,
-        thermal,
-        len(chip.cores),
-        lambda: CompiledChip(chip, thermal, fingerprint=fingerprint),
-    )
+def compile_chip(chip: ChipSpec, thermal: ThermalModel | None = None) -> CompiledChip:
+    """Compile ``chip``: ``CompiledChip(chip, thermal)``."""
+    return CompiledChip(chip, thermal)
 
 
 def compile_draw(draw, thermal: ThermalModel | None = None) -> CompiledChip:
-    """Compile a :class:`~repro.silicon.chipspec.ChipDraw`, store first.
+    """Compile a :class:`~repro.silicon.chipspec.ChipDraw`, the fleet's entry.
 
-    The fleet's compile entry, cold or warm: the fingerprint is packed
-    from the raw draw values, and a stored record is rebuilt zero-copy
-    around a :class:`ChipRef`.  With no store, or on a miss, the tables
-    are compiled straight from the draw (:meth:`CompiledChip.from_draw`)
-    and a miss writes them back (writable stores only).  No
-    :class:`ChipSpec` is ever materialized, and the result — arrays,
-    scalars, fingerprint and store payload — equals
-    ``compile_chip(draw.materialize(), thermal)``'s.
+    :meth:`CompiledChip.from_draw`: the tables and the fingerprint
+    (:func:`fingerprint_from_draw`) come straight from the draw's block
+    row, no :class:`ChipSpec` is materialized, and the result equals
+    ``compile_chip(draw.materialize(), thermal)`` in every array, scalar
+    and the fingerprint.
     """
-    thermal = thermal if thermal is not None else ThermalModel()
-    fingerprint = fingerprint_from_draw(draw, thermal)
-
-    def build() -> CompiledChip:
-        return CompiledChip.from_draw(draw, thermal=thermal, fingerprint=fingerprint)
-
-    store = get_store()
-    if store is None:
-        return build()
-    return _compile_through_store(
-        store, fingerprint, ChipRef(draw.chip_id), thermal, draw.n_cores, build
-    )
+    return CompiledChip.from_draw(draw, thermal)

@@ -1,30 +1,33 @@
 """Persistent, content-addressed solve store (disk layer under the cache).
 
 The in-memory :class:`~repro.fastpath.cache.SolveCache` dies with the
-process; this module persists the two expensive products of the solver
-pipeline — :class:`~repro.fastpath.compiled.CompiledChip` array tables and
-converged :class:`~repro.atm.chip_sim.ChipSteadyState` fixed points — plus
-the characterization transcripts of :mod:`repro.core.fleet`, as versioned,
-checksummed records in an append-only data file with a flat index.
+process; this module persists the two expensive products of the fleet
+pipeline — the characterization transcripts of :mod:`repro.core.fleet`
+and converged :class:`~repro.atm.chip_sim.ChipSteadyState` fixed points —
+as versioned, checksummed records in an append-only data file with a
+flat index.  Compiled solver tables are not stored: compiling a chip
+from its draw costs about what reading the tables back did.
 
-Keys are content addresses.  A compiled record is keyed by the chip's
+Keys are content addresses.  A state record is keyed by the chip's
 ``"solver-v2"`` sha256 fingerprint (a hash of the packed bytes of every
-physical parameter the solver reads); a state record extends that with
-the assignment row and the warm-start seed; a characterization record is
-keyed by ``"char-v2"``, a hash of the packed probe-visible physics plus
-the RNG recipe.  Because the key *is* the physics, staleness is
-impossible by construction: any change to an input produces a different
-key and therefore a miss — there is no invalidation protocol to get
-wrong, and records never need a timestamp.  Bumping a key version
-leaves the old records unread; ``prune(max_bytes=...)`` evicts them
-oldest-first.
+physical parameter the solver reads) extended with the assignment row
+and the warm-start seed; a characterization record is keyed by
+``"char-v2"``, a hash of the packed probe-visible physics plus the RNG
+recipe.  Because the key *is* the physics, staleness is impossible by
+construction: any change to an input produces a different key and
+therefore a miss — there is no invalidation protocol to get wrong, and
+records never need a timestamp.  Bumping a key version leaves the old
+records unread; ``prune(max_bytes=...)`` evicts them oldest-first.
 
 Layout (two files under one directory):
 
 * ``store.idx`` — 16-byte header (magic + format version) followed by
   fixed 56-byte entries: key (32 bytes), record kind, crc32, offset and
   length into the data file.  The index is rewritten never, appended
-  always; the *last* entry for a key wins at open time.
+  always; the *last* entry for a key wins at open time.  Entries of a
+  kind this module does not know (kind 1, the compiled tables earlier
+  stores held) are skipped at open: their bytes count as unreferenced,
+  and ``prune`` reclaims them.
 * ``store.dat`` — 16-byte header followed by raw record payloads, each
   8-byte aligned so numpy arrays can be viewed zero-copy straight off the
   read-only mmap (``--jobs N`` workers all map the same physical pages).
@@ -54,12 +57,12 @@ from ..errors import ConfigurationError
 #: store reads as empty rather than being misinterpreted).
 STORE_FORMAT_VERSION = 1
 
-#: Record kinds.
-KIND_COMPILED = 1  #: CompiledChip array tables, keyed by solver fingerprint
+#: Record kinds.  Kind 1 is retired: stores written earlier hold compiled
+#: tables under it, so it must not be reused.
 KIND_STATE = 2  #: converged ChipSteadyState, keyed by (fingerprint, row, warm)
 KIND_CHAR = 3  #: characterization transcript, keyed by probe-visible physics
 
-KIND_NAMES = {KIND_COMPILED: "compiled", KIND_STATE: "state", KIND_CHAR: "char"}
+KIND_NAMES = {KIND_STATE: "state", KIND_CHAR: "char"}
 
 _IDX_MAGIC = b"RPROSIDX"
 _DAT_MAGIC = b"RPROSDAT"
@@ -69,18 +72,7 @@ _HEADER_SIZE = _HEADER.size  # 16
 _ENTRY_SIZE = _ENTRY.size  # 56
 
 #: Counter keys of :meth:`SolveStore.stats` (the mergeable-partial shape).
-STAT_KEYS = (
-    "hits",
-    "misses",
-    "writes",
-    "corrupt_entries",
-    "compiled_hits",
-    "compiled_misses",
-    "state_hits",
-    "state_misses",
-    "char_hits",
-    "char_misses",
-)
+STAT_KEYS = ("hits", "misses", "writes", "corrupt_entries")
 
 
 def _pad8(n: int) -> int:
@@ -104,8 +96,6 @@ class SolveStore:
         self.misses = 0
         self.writes = 0
         self.corrupt_entries = 0
-        self.kind_hits = {kind: 0 for kind in KIND_NAMES}
-        self.kind_misses = {kind: 0 for kind in KIND_NAMES}
         self._index: dict[tuple[int, bytes], tuple[int, int, int]] = {}
         self._mm: mmap.mmap | None = None
         self._mapped_size = 0
@@ -158,9 +148,9 @@ class SolveStore:
             # Torn final index append (crash mid-write): drop the tail.
             self.corrupt_entries += 1
             body = body[: len(body) - tail]
-        for pos in range(0, len(body), _ENTRY_SIZE):
-            key, kind, crc, offset, length = _ENTRY.unpack_from(body, pos)
-            self._index[(kind, key)] = (offset, length, crc)
+        for key, kind, crc, offset, length in _ENTRY.iter_unpack(body):
+            if kind in KIND_NAMES:  # a retired kind is left for prune
+                self._index[(kind, key)] = (offset, length, crc)
 
     @staticmethod
     def _check_header(header: bytes, magic: bytes) -> bool:
@@ -187,9 +177,9 @@ class SolveStore:
         """Drop the current mapping.
 
         Zero-copy readers may still hold views into it (a fleet chunk
-        keeps its store-served records and compiled tables until its
-        solve); ``mmap.close`` then refuses (exported pointers), and the
-        mapping is unmapped when the last view is released.
+        keeps its store-served characterization records until its chips
+        are replayed); ``mmap.close`` then refuses (exported pointers),
+        and the mapping is unmapped when the last view is released.
         """
         if self._mm is not None:
             try:
@@ -229,10 +219,8 @@ class SolveStore:
         view = self._load(kind, key)
         if view is None:
             self.misses += 1
-            self.kind_misses[kind] += 1
             return None
         self.hits += 1
-        self.kind_hits[kind] += 1
         return view
 
     def reject(self, kind: int, key: bytes) -> None:
@@ -244,14 +232,8 @@ class SolveStore:
         once unless the recomputed record is written back.
         """
         self.hits -= 1
-        self.kind_hits[kind] -= 1
         self.misses += 1
-        self.kind_misses[kind] += 1
         self._index.pop((kind, key), None)
-
-    def contains(self, kind: int, key: bytes) -> bool:
-        """Index membership without touching counters (no payload check)."""
-        return (kind, key) in self._index
 
     def put(self, kind: int, key: bytes, payload: bytes) -> bool:
         """Append one record; returns ``False`` when the store drops it.
@@ -296,17 +278,13 @@ class SolveStore:
         counter — excluded from merges), so pool workers can ship their
         store activity home as :func:`diff_stats` deltas.
         """
-        out = {
+        return {
             "hits": self.hits,
             "misses": self.misses,
             "writes": self.writes,
             "corrupt_entries": self.corrupt_entries,
+            "entries": len(self._index),
         }
-        for kind, name in KIND_NAMES.items():
-            out[f"{name}_hits"] = self.kind_hits[kind]
-            out[f"{name}_misses"] = self.kind_misses[kind]
-        out["entries"] = len(self._index)
-        return out
 
     def merge_stats(self, delta: dict[str, int]) -> None:
         """Fold a worker's :func:`diff_stats` delta into this store's counters."""
@@ -314,9 +292,6 @@ class SolveStore:
         self.misses += int(delta.get("misses", 0))
         self.writes += int(delta.get("writes", 0))
         self.corrupt_entries += int(delta.get("corrupt_entries", 0))
-        for kind, name in KIND_NAMES.items():
-            self.kind_hits[kind] += int(delta.get(f"{name}_hits", 0))
-            self.kind_misses[kind] += int(delta.get(f"{name}_misses", 0))
 
     def verify(self) -> dict:
         """Walk every indexed record, re-checking bounds and checksums.
@@ -345,7 +320,7 @@ class SolveStore:
             "entries_by_kind": per_kind,
             "corrupt": corrupt + (0 if self.usable else 1),
             "data_bytes": data_bytes,
-            # Superseded records and torn-write tails: reclaimable by prune.
+            # Superseded, torn and retired-kind records: reclaimable by prune.
             "unreferenced_bytes": max(0, data_bytes - _HEADER_SIZE - referenced),
         }
 
@@ -433,11 +408,6 @@ def diff_stats(after: dict[str, int], before: dict[str, int]) -> dict[str, int]:
 # -- record keys ------------------------------------------------------------
 
 
-def compiled_key(fingerprint: str) -> bytes:
-    """Store key of a compiled record: the solver fingerprint itself."""
-    return bytes.fromhex(fingerprint)
-
-
 def state_key(fingerprint: str, row: tuple, warm_start) -> bytes:
     """Content address of one converged solve.
 
@@ -473,8 +443,6 @@ def state_key(fingerprint: str, row: tuple, warm_start) -> bytes:
 
 _STATE_PREFIX = struct.Struct("<IIdddI4x")  # layout, n, power, vdd, temp, iters
 _STATE_LAYOUT = 1
-_COMPILED_PREFIX = struct.Struct("<IIII6d")  # layout, n_cores, max_codes, pad
-_COMPILED_LAYOUT = 1
 
 
 def encode_state(state) -> bytes:
@@ -516,89 +484,6 @@ def decode_state(payload, row):
         iterations=int(iterations),
         assignments=tuple(row),
     )
-
-
-#: Per-core float arrays of a compiled record, in payload order.
-_COMPILED_ARRAYS = (
-    "base_delay_ps",
-    "v_threshold",
-    "alpha",
-    "nominal_alpha_factor",
-    "temp_coeff",
-    "leakage_w",
-    "ceff_w_per_ghz",
-    "leakage_temp_coeff",
-)
-
-
-def encode_compiled(compiled) -> bytes:
-    """Serialize a :class:`CompiledChip`'s array tables.
-
-    Scalars and arrays are written as raw little-endian float64/int64, in
-    a fixed order, 8-byte aligned — the exact bytes of the in-memory
-    arrays, so a decoded table is bitwise identical to a fresh compile.
-    """
-    chunks = [
-        _COMPILED_PREFIX.pack(
-            _COMPILED_LAYOUT,
-            compiled.n_cores,
-            compiled.insert_table_ps.shape[1],
-            0,
-            compiled.slack_ps,
-            compiled.vrm_voltage,
-            compiled.pdn_resistance_ohm,
-            compiled.uncore_power_w,
-            compiled.ambient_c,
-            compiled.thermal_resistance,
-        )
-    ]
-    for name in _COMPILED_ARRAYS:
-        chunks.append(getattr(compiled, name).astype("<f8", copy=False).tobytes())
-    chunks.append(compiled.preset_code.astype("<i8", copy=False).tobytes())
-    chunks.append(compiled.insert_table_ps.astype("<f8", copy=False).tobytes())
-    return b"".join(chunks)
-
-
-def decode_compiled(payload) -> dict | None:
-    """Zero-copy view of a compiled record's tables.
-
-    Returns scalars plus read-only numpy arrays aliasing ``payload`` (the
-    store's mmap — shared physical pages across worker processes), or
-    ``None`` on a layout mismatch.  The solver never mutates a
-    :class:`CompiledChip`'s arrays, so read-only views are safe.
-    """
-    import numpy as np
-
-    if len(payload) < _COMPILED_PREFIX.size:
-        return None
-    (layout, n_cores, max_codes, _pad, slack, vrm, pdn, uncore, ambient,
-     resistance) = _COMPILED_PREFIX.unpack_from(payload)
-    expected = (
-        _COMPILED_PREFIX.size
-        + 8 * n_cores * (len(_COMPILED_ARRAYS) + 1)
-        + 8 * n_cores * max_codes
-    )
-    if layout != _COMPILED_LAYOUT or len(payload) != expected:
-        return None
-    out = {
-        "n_cores": int(n_cores),
-        "slack_ps": float(slack),
-        "vrm_voltage": float(vrm),
-        "pdn_resistance_ohm": float(pdn),
-        "uncore_power_w": float(uncore),
-        "ambient_c": float(ambient),
-        "thermal_resistance": float(resistance),
-    }
-    offset = _COMPILED_PREFIX.size
-    for name in _COMPILED_ARRAYS:
-        out[name] = np.frombuffer(payload, "<f8", count=n_cores, offset=offset)
-        offset += 8 * n_cores
-    out["preset_code"] = np.frombuffer(payload, "<i8", count=n_cores, offset=offset)
-    offset += 8 * n_cores
-    out["insert_table_ps"] = np.frombuffer(
-        payload, "<f8", count=n_cores * max_codes, offset=offset
-    ).reshape(n_cores, max_codes)
-    return out
 
 
 # -- process-wide configuration ---------------------------------------------

@@ -15,7 +15,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
-from ...errors import ConfigurationError
+from ..stream.gates import check_ratio_gate
 from .history import (
     MetricSeries,
     RegressionFlag,
@@ -55,8 +55,7 @@ def build_report(
     (:meth:`repro.core.fleet_health.FleetHealthReport.to_dict`), embedded
     as given.
     """
-    if threshold <= 0.0:
-        raise ConfigurationError(f"threshold must be > 0, got {threshold}")
+    check_ratio_gate(threshold)
     records = store.records()
     series = list(build_history(store, metrics=metrics))
     series.extend(bench_wall_series(bench_paths))

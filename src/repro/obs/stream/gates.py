@@ -72,6 +72,18 @@ def quantile_fence(counts: Mapping, *, k: float, op: str, floor: float) -> float
     raise ConfigurationError(f"fence op must be 'above' or 'below', got {op!r}")
 
 
+def check_ratio_gate(threshold: float, min_delta: float = 0.0) -> None:
+    """Reject a ratio threshold that is not finite and > 0, or a noise
+    floor that is not finite and >= 0: NaN compares false against every
+    ratio and delta, so either would silently switch the gate off."""
+    if not (math.isfinite(threshold) and threshold > 0.0):
+        raise ConfigurationError(f"threshold must be finite and > 0, got {threshold}")
+    if not (math.isfinite(min_delta) and min_delta >= 0.0):
+        raise ConfigurationError(
+            f"noise floor must be finite and >= 0, got {min_delta}"
+        )
+
+
 def exceeds_ratio_gate(
     fresh: float,
     base: float,
@@ -85,10 +97,10 @@ def exceeds_ratio_gate(
     exceeds ``min_delta`` — the two-condition gate ``repro bench
     --compare`` applies to wall-clock totals, reused by ``repro obs
     history`` for metric series and by ``ratio_vs_baseline`` alert rules
-    (each with a caller-chosen floor).
+    (each with a caller-chosen floor).  Both must pass
+    :func:`check_ratio_gate`.
     """
-    if threshold <= 0.0:
-        raise ConfigurationError(f"threshold must be > 0, got {threshold}")
+    check_ratio_gate(threshold, min_delta)
     if base > 0.0:
         ratio = fresh / base
     else:

@@ -1,28 +1,22 @@
 """``compile_draw`` against compiling the materialized chip.
 
-The fleet compiles every chip straight from its draw.  Whatever the
-store does — none configured, a writable store that misses, a read-only
-store that misses — the result must be ``CompiledChip(draw.materialize())``
-in every array (bytes and dtype), every scalar and the fingerprint, and a
-writable store must receive the same payload.
+The fleet compiles every chip straight from its draw, and the store
+holds no compiled tables.  With no store, a writable store or a
+read-only store configured, ``compile_draw(draw)`` and
+``compile_chip(draw.materialize())`` must equal
+``CompiledChip(draw.materialize())`` in every array (bytes and dtype),
+every scalar and the fingerprint, and neither may call the store.
 """
 
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 from repro.errors import ConfigurationError
-from repro.fastpath.compiled import CompiledChip, compile_draw
-from repro.fastpath.store import (
-    KIND_COMPILED,
-    SolveStore,
-    compiled_key,
-    configure_store,
-    encode_compiled,
-    get_store,
-    reset_store,
-)
+from repro.fastpath.compiled import CompiledChip, compile_chip, compile_draw
+from repro.fastpath.store import SolveStore, configure_store, reset_store
 from repro.silicon.chipspec import draw_chips
 
 ARRAYS = (
@@ -83,36 +77,23 @@ def test_without_a_store(seed, start, n_cores):
     _assert_compiled_equal(compile_draw(draw), CompiledChip(draw.materialize()))
 
 
+@pytest.mark.parametrize("writable", [True, False], ids=["writable", "read-only"])
 @settings(max_examples=25, deadline=None)
 @given(**DRAWS)
-def test_writable_store_miss_writes_the_materialized_payload(seed, start, n_cores):
+def test_with_a_store(writable, seed, start, n_cores):
     draw = _draw(seed, start, n_cores)
     want = CompiledChip(draw.materialize())
     with tempfile.TemporaryDirectory() as root:
-        configure_store(Path(root) / "store")
+        path = Path(root) / "store"
+        SolveStore(path).close()  # an empty store on disk
+        files = {name: (path / name).read_bytes() for name in ("store.idx", "store.dat")}
+        store = configure_store(path, writable=writable)
+        before = store.stats()
         try:
-            got = compile_draw(draw)
-            stats = get_store().stats()
-            payload = get_store().get(KIND_COMPILED, compiled_key(want.fingerprint))
-            assert stats["compiled_misses"] == 1 and stats["writes"] == 1
-            assert bytes(payload) == encode_compiled(want)
+            got = [compile_draw(draw), compile_chip(draw.materialize())]
+            assert store.stats() == before
         finally:
             reset_store()
-    _assert_compiled_equal(got, want)
-    assert encode_compiled(got) == encode_compiled(want)
-
-
-@settings(max_examples=25, deadline=None)
-@given(**DRAWS)
-def test_read_only_store_miss(seed, start, n_cores):
-    draw = _draw(seed, start, n_cores)
-    with tempfile.TemporaryDirectory() as root:
-        SolveStore(Path(root) / "store").close()  # an empty store on disk
-        store = configure_store(Path(root) / "store", writable=False)
-        try:
-            got = compile_draw(draw)
-            stats = store.stats()
-            assert stats["compiled_misses"] == 1 and stats["writes"] == 0
-        finally:
-            reset_store()
-    _assert_compiled_equal(got, CompiledChip(draw.materialize()))
+        assert {name: (path / name).read_bytes() for name in files} == files
+    for compiled in got:
+        _assert_compiled_equal(compiled, want)

@@ -14,30 +14,21 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.atm.chip_sim import ChipSim
+from repro.atm.chip_sim import ChipSim, CoreAssignment
 from repro.core.char_record import char_key
 from repro.core.fleet import characterize_fleet
 from repro.errors import ConfigurationError
 from repro.fastpath.cache import reset_solve_cache
-from repro.fastpath.compiled import (
-    CompiledChip,
-    compile_chip,
-    compile_draw,
-    fingerprint_from_draw,
-    fingerprint_of,
-)
+from repro.fastpath.compiled import compile_draw, fingerprint_from_draw, fingerprint_of
+from repro.fastpath.population import solve_chips_cached
 from repro.fastpath.store import (
     KIND_CHAR,
-    KIND_COMPILED,
     KIND_STATE,
     STAT_KEYS,
     SolveStore,
-    compiled_key,
     configure_store,
-    decode_compiled,
     decode_state,
     diff_stats,
-    encode_compiled,
     encode_state,
     get_store,
     reset_store,
@@ -50,6 +41,7 @@ from repro.workloads.base import IDLE
 from repro.workloads.ubench import UBENCH_SUITE
 
 from ..silicon.scalar_draw import draw_fields, scalar_draw_chips
+from .retired_records import append_retired
 
 
 @pytest.fixture(autouse=True)
@@ -61,6 +53,10 @@ def _no_global_store():
 
 def _store(tmp_path, **kwargs):
     return SolveStore(tmp_path / "store", **kwargs)
+
+
+def _key(hex_pair: str) -> bytes:
+    return bytes.fromhex(hex_pair * 32)
 
 
 def _drawn(draw_fn, seed, indices, **kwargs):
@@ -220,26 +216,6 @@ class TestStoreKeys:
 
 
 class TestRecordCodecs:
-    def test_compiled_round_trip(self):
-        chip = sample_chip(2019)
-        compiled = CompiledChip(chip)
-        tables = decode_compiled(encode_compiled(compiled))
-        assert tables is not None
-        rebuilt = CompiledChip.from_tables(
-            tables, chip=chip, thermal=None, fingerprint=fingerprint_of(chip)
-        )
-        assert rebuilt.n_cores == compiled.n_cores
-        for name in (
-            "base_delay_ps",
-            "v_threshold",
-            "alpha",
-            "leakage_w",
-            "ceff_w_per_ghz",
-        ):
-            assert getattr(rebuilt, name).tolist() == pytest.approx(
-                getattr(compiled, name).tolist()
-            )
-
     def test_state_round_trip_is_bit_exact(self):
         chip = sample_chip(2019)
         sim = ChipSim(chip)
@@ -257,54 +233,51 @@ class TestRecordCodecs:
         assert decoded.assignments == row
 
     def test_decode_rejects_garbage(self):
-        assert decode_compiled(b"nope") is None
         assert decode_state(b"nope", ()) is None
 
 
 class TestSolveStore:
     def test_round_trip_and_stats(self, tmp_path):
         store = _store(tmp_path)
-        key = compiled_key("ab" * 32)
-        assert store.get(KIND_COMPILED, key) is None
-        assert store.put(KIND_COMPILED, key, b"payload-1")
-        assert bytes(store.get(KIND_COMPILED, key)) == b"payload-1"
+        key = _key("ab")
+        assert store.get(KIND_STATE, key) is None
+        assert store.put(KIND_STATE, key, b"payload-1")
+        assert bytes(store.get(KIND_STATE, key)) == b"payload-1"
         stats = store.stats()
-        assert stats["hits"] == 1
-        assert stats["misses"] == 1
-        assert stats["writes"] == 1
-        assert stats["compiled_hits"] == 1
-        assert stats["entries"] == 1
+        assert stats == {
+            "hits": 1, "misses": 1, "writes": 1, "corrupt_entries": 0, "entries": 1
+        }
         store.close()
 
     def test_last_write_wins(self, tmp_path):
         store = _store(tmp_path)
-        key = compiled_key("cd" * 32)
-        store.put(KIND_COMPILED, key, b"old")
-        store.put(KIND_COMPILED, key, b"new")
-        assert bytes(store.get(KIND_COMPILED, key)) == b"new"
+        key = _key("cd")
+        store.put(KIND_STATE, key, b"old")
+        store.put(KIND_STATE, key, b"new")
+        assert bytes(store.get(KIND_STATE, key)) == b"new"
         store.close()
         # Reopened: the index replays in order, so "new" still wins.
         again = _store(tmp_path)
-        assert bytes(again.get(KIND_COMPILED, key)) == b"new"
+        assert bytes(again.get(KIND_STATE, key)) == b"new"
         again.close()
 
     def test_kinds_are_distinct_namespaces(self, tmp_path):
         store = _store(tmp_path)
-        key = compiled_key("ee" * 32)
-        store.put(KIND_COMPILED, key, b"compiled")
+        key = _key("ee")
+        store.put(KIND_CHAR, key, b"char")
         store.put(KIND_STATE, key, b"state")
-        assert bytes(store.get(KIND_COMPILED, key)) == b"compiled"
+        assert bytes(store.get(KIND_CHAR, key)) == b"char"
         assert bytes(store.get(KIND_STATE, key)) == b"state"
         store.close()
 
     def test_read_only_store_never_writes(self, tmp_path):
         writer = _store(tmp_path)
-        key = compiled_key("99" * 32)
-        writer.put(KIND_COMPILED, key, b"payload")
+        key = _key("99")
+        writer.put(KIND_STATE, key, b"payload")
         writer.close()
         reader = _store(tmp_path, writable=False)
-        assert bytes(reader.get(KIND_COMPILED, key)) == b"payload"
-        assert not reader.put(KIND_COMPILED, compiled_key("aa" * 32), b"x")
+        assert bytes(reader.get(KIND_STATE, key)) == b"payload"
+        assert not reader.put(KIND_STATE, _key("aa"), b"x")
         assert reader.stats()["writes"] == 0
         reader.close()
 
@@ -313,48 +286,48 @@ class TestSolveStore:
         # mapping; a view of an earlier record must neither block that
         # nor go stale.
         store = _store(tmp_path)
-        first, second = compiled_key("a1" * 32), compiled_key("b2" * 32)
-        store.put(KIND_COMPILED, first, b"first")
-        held = store.get(KIND_COMPILED, first)
-        store.put(KIND_COMPILED, second, b"second")
-        assert bytes(store.get(KIND_COMPILED, second)) == b"second"
+        first, second = _key("a1"), _key("b2")
+        store.put(KIND_STATE, first, b"first")
+        held = store.get(KIND_STATE, first)
+        store.put(KIND_STATE, second, b"second")
+        assert bytes(store.get(KIND_STATE, second)) == b"second"
         assert bytes(held) == b"first"
         store.close()
         assert bytes(held) == b"first"
 
     def test_truncated_final_record_reads_as_miss(self, tmp_path):
         store = _store(tmp_path)
-        key = compiled_key("12" * 32)
-        store.put(KIND_COMPILED, key, b"x" * 64)
+        key = _key("12")
+        store.put(KIND_STATE, key, b"x" * 64)
         store.close()
         dat = tmp_path / "store" / "store.dat"
         dat.write_bytes(dat.read_bytes()[:-8])  # torn final append
         again = _store(tmp_path)
-        assert again.get(KIND_COMPILED, key) is None
+        assert again.get(KIND_STATE, key) is None
         assert again.stats()["corrupt_entries"] == 1
         # The corrupt record is dropped: a second read is a plain miss.
-        assert again.get(KIND_COMPILED, key) is None
+        assert again.get(KIND_STATE, key) is None
         assert again.stats()["corrupt_entries"] == 1
         again.close()
 
     def test_flipped_payload_byte_reads_as_miss(self, tmp_path):
         store = _store(tmp_path)
-        key = compiled_key("34" * 32)
-        store.put(KIND_COMPILED, key, b"y" * 64)
+        key = _key("34")
+        store.put(KIND_STATE, key, b"y" * 64)
         store.close()
         dat = tmp_path / "store" / "store.dat"
         blob = bytearray(dat.read_bytes())
         blob[-1] ^= 0xFF  # checksum no longer matches
         dat.write_bytes(bytes(blob))
         again = _store(tmp_path)
-        assert again.get(KIND_COMPILED, key) is None
+        assert again.get(KIND_STATE, key) is None
         assert again.stats()["corrupt_entries"] == 1
         again.close()
 
     def test_version_mismatched_index_is_unusable_not_fatal(self, tmp_path):
         store = _store(tmp_path)
-        key = compiled_key("56" * 32)
-        store.put(KIND_COMPILED, key, b"z" * 32)
+        key = _key("56")
+        store.put(KIND_STATE, key, b"z" * 32)
         store.close()
         idx = tmp_path / "store" / "store.idx"
         blob = bytearray(idx.read_bytes())
@@ -362,8 +335,8 @@ class TestSolveStore:
         idx.write_bytes(bytes(blob))
         again = _store(tmp_path)
         assert not again.usable
-        assert again.get(KIND_COMPILED, key) is None
-        assert again.put(KIND_COMPILED, key, b"w") is False
+        assert again.get(KIND_STATE, key) is None
+        assert again.put(KIND_STATE, key, b"w") is False
         assert again.stats()["corrupt_entries"] >= 1
         report = again.verify()
         assert report["usable"] is False
@@ -372,9 +345,9 @@ class TestSolveStore:
 
     def test_verify_counts_and_drops_corruption(self, tmp_path):
         store = _store(tmp_path)
-        keys = [compiled_key(f"{i:02x}" * 32) for i in range(3)]
+        keys = [_key(f"{i:02x}") for i in range(3)]
         for key in keys:
-            store.put(KIND_COMPILED, key, b"k" * 48)
+            store.put(KIND_STATE, key, b"k" * 48)
         store.close()
         dat = tmp_path / "store" / "store.dat"
         blob = bytearray(dat.read_bytes())
@@ -385,15 +358,15 @@ class TestSolveStore:
         # The corrupt record is counted and dropped from the live index.
         assert report["corrupt"] == 1
         assert report["entries"] == 2
-        assert report["entries_by_kind"]["compiled"] == 2
+        assert report["entries_by_kind"] == {"state": 2, "char": 0}
         again.close()
 
     def test_prune_compacts_and_enforces_budget(self, tmp_path):
         store = _store(tmp_path)
-        keys = [compiled_key(f"{i:02x}" * 32) for i in range(4)]
+        keys = [_key(f"{i:02x}") for i in range(4)]
         for key in keys:
-            store.put(KIND_COMPILED, key, b"p" * 64)
-        store.put(KIND_COMPILED, keys[0], b"q" * 64)  # supersede
+            store.put(KIND_STATE, key, b"p" * 64)
+        store.put(KIND_STATE, keys[0], b"q" * 64)  # supersede
         before = store.verify()
         assert before["unreferenced_bytes"] > 0
         report = store.prune()
@@ -402,8 +375,31 @@ class TestSolveStore:
         # Budgeted prune drops oldest-first but keeps the store readable.
         report = store.prune(max_bytes=16 + 2 * 64)
         assert report["kept"] < 4
-        assert bytes(store.get(KIND_COMPILED, keys[0])) == b"q" * 64
+        assert bytes(store.get(KIND_STATE, keys[0])) == b"q" * 64
         store.close()
+
+    def test_retired_kind_is_skipped_then_pruned(self, tmp_path):
+        # A store written while kind 1 held compiled tables: its entries
+        # are not indexed, their bytes are reclaimable, and the records
+        # of the kinds still in use keep serving before and after prune.
+        store = _store(tmp_path)
+        store.put(KIND_STATE, _key("01"), b"s" * 40)
+        store.put(KIND_CHAR, _key("02"), b"c" * 24)
+        store.close()
+        retired = append_retired(tmp_path / "store", _key("03"), b"t" * 100)
+        retired += append_retired(tmp_path / "store", _key("01"), b"u" * 52)
+        again = _store(tmp_path)
+        report = again.verify()
+        assert (report["entries"], report["corrupt"]) == (2, 0)
+        assert report["entries_by_kind"] == {"state": 1, "char": 1}
+        assert report["unreferenced_bytes"] == retired
+        assert again.stats()["corrupt_entries"] == 0
+        assert again.prune()["kept"] == 2
+        assert again.verify()["unreferenced_bytes"] == 0
+        assert again.dat_path.stat().st_size == report["data_bytes"] - retired
+        assert bytes(again.get(KIND_STATE, _key("01"))) == b"s" * 40
+        assert bytes(again.get(KIND_CHAR, _key("02"))) == b"c" * 24
+        again.close()
 
     def test_prune_refuses_read_only(self, tmp_path):
         _store(tmp_path).close()  # create
@@ -414,16 +410,13 @@ class TestSolveStore:
 
     def test_diff_and_merge_stats(self, tmp_path):
         store = _store(tmp_path)
-        key = compiled_key("77" * 32)
+        key = _key("77")
         before = store.stats()
-        store.put(KIND_COMPILED, key, b"v")
-        store.get(KIND_COMPILED, key)
+        store.put(KIND_STATE, key, b"v")
         store.get(KIND_STATE, key)
+        store.get(KIND_CHAR, key)
         delta = diff_stats(store.stats(), before)
-        assert delta["hits"] == 1
-        assert delta["misses"] == 1
-        assert delta["state_misses"] == 1
-        assert delta["writes"] == 1
+        assert delta == {"hits": 1, "misses": 1, "writes": 1, "corrupt_entries": 0}
         other = _store(tmp_path)
         other.merge_stats(delta)
         merged = other.stats()
@@ -442,17 +435,30 @@ class TestGlobalStore:
         assert get_store() is None
 
     def test_compile_draw_round_trips_through_store(self, tmp_path):
-        configure_store(tmp_path / "s")
+        # The store holds no tables: a chip's converged states round-trip
+        # under the fingerprint each compile_draw of its draw computes,
+        # and compiling makes no store call of its own.
+        store = configure_store(tmp_path / "s")
         draw = draw_chip(2019, chip_id="F0")
+        rows = [
+            (CoreAssignment(reduction_steps=steps),) * draw.n_cores
+            for steps in (0, 1)
+        ]
+        reset_solve_cache()
         cold = compile_draw(draw)
+        assert store.stats()["writes"] == 0
+        (live,) = solve_chips_cached([(cold, rows, None)])
+        reset_solve_cache()
+        before = store.stats()
         warm = compile_draw(draw)
+        assert store.stats() == before
+        (stored,) = solve_chips_cached([(warm, rows, None)])
+        reset_solve_cache()
         assert warm.fingerprint == cold.fingerprint
-        assert warm.chip.chip_id == "F0"
-        assert warm.base_delay_ps.tolist() == cold.base_delay_ps.tolist()
-        assert warm.leakage_w.tolist() == cold.leakage_w.tolist()
-        stats = get_store().stats()
-        assert stats["compiled_hits"] == 1
-        assert stats["compiled_misses"] == 1
+        assert stored == live
+        after = store.stats()
+        # Two states written by the cold solve, read back by the warm one.
+        assert (after["misses"], after["writes"], after["hits"]) == (2, 2, 2)
 
     def test_state_key_separates_rows_and_warmth(self):
         chip = sample_chip(2019)
@@ -476,24 +482,6 @@ class TestRejectedRecords:
     recomputed result must be the one a run without a store produces.
     """
 
-    @pytest.mark.parametrize("entry", ["compile_chip", "compile_draw"])
-    def test_compiled(self, tmp_path, entry):
-        draw = draw_chip(2019, chip_id="R0")
-        expected = encode_compiled(CompiledChip(draw.materialize()))
-        store = configure_store(tmp_path / "store")
-        key = compiled_key(fingerprint_from_draw(draw))
-        store.put(KIND_COMPILED, key, bytes(64))
-        compiled = {
-            "compile_chip": lambda: compile_chip(draw.materialize()),
-            "compile_draw": lambda: compile_draw(draw),
-        }[entry]()
-        assert encode_compiled(compiled) == expected
-        stats = store.stats()
-        assert (stats["hits"], stats["misses"]) == (0, 1)
-        assert (stats["compiled_hits"], stats["compiled_misses"]) == (0, 1)
-        # The recompiled record replaced the rejected one.
-        assert bytes(store.get(KIND_COMPILED, key)) == expected
-
     def test_state(self, tmp_path):
         sim = ChipSim(sample_chip(2019, chip_id="R0"))
         row = sim.uniform_assignments()
@@ -507,7 +495,6 @@ class TestRejectedRecords:
         assert state == expected
         stats = store.stats()
         assert (stats["hits"], stats["misses"]) == (0, 1)
-        assert (stats["state_hits"], stats["state_misses"]) == (0, 1)
 
     def test_char(self, tmp_path):
         fleet = {"seed": 2019, "trials": 1, "n_cores": 2}
@@ -529,5 +516,5 @@ class TestRejectedRecords:
         reset_solve_cache()
         assert report.to_dict() == expected
         stats = store.stats()
-        assert (stats["char_hits"], stats["char_misses"]) == (0, 1)
-        assert stats["hits"] == 0
+        # The rejected characterization record and the chip's two states.
+        assert (stats["hits"], stats["misses"]) == (0, 3)

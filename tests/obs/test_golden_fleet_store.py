@@ -1,11 +1,11 @@
 """Golden test: the solve store a cold fleet run fills, byte for byte.
 
 A cold 16-chip ``characterize_fleet`` at seed 2019 writes every chip's
-characterization record, compiled tables and converged states into a
-fresh store.  The digests pin the bytes of both store files, so a change
-to a record's bytes, a key, or the order the fleet writes records in
-shows up here.  If a deliberate change moves them, update the digests in
-the same commit and say why.
+characterization record and converged states into a fresh store.  The
+digests pin the bytes of both store files, so a change to a record's
+bytes, a key, or the order the fleet writes records in shows up here.
+If a deliberate change moves them, update the digests in the same commit
+and say why.
 """
 
 import hashlib
@@ -19,8 +19,8 @@ from repro.fastpath.store import configure_store, reset_store
 SEED = 2019
 CHIPS = 16
 FILES_SHA256 = {
-    "store.dat": "68abad7cf6b4e5f29b1a3fca94f54cb4bc8944c8e7d5aab5893ab510090bf059",
-    "store.idx": "d1ec63261630b1f3b0222745e22cf086844d8f17d8a8973a542c6962d56a4225",
+    "store.dat": "3dfb46d1643ef8054782ce277bc3302eaf85ab8280589907971778f0d2755c02",
+    "store.idx": "4157bca95c31760c169334e684f7aeed66fbe301e7f27b1e728e24cbfd6f44b1",
 }
 
 

@@ -64,3 +64,14 @@ class TestExceedsRatioGate:
     def test_non_positive_threshold_rejected(self):
         with pytest.raises(ConfigurationError):
             exceeds_ratio_gate(1.0, 1.0, threshold=0.0)
+
+    @pytest.mark.parametrize(
+        "threshold, min_delta",
+        [(math.nan, 0.0), (math.inf, 0.0), (2.0, math.nan), (2.0, math.inf), (2.0, -0.005)],
+    )
+    def test_non_finite_or_negative_bounds_rejected(self, threshold, min_delta):
+        # A NaN or infinite bound never trips (NaN compares false against
+        # everything), so a tripled value would pass silently; a negative
+        # floor is no floor.
+        with pytest.raises(ConfigurationError):
+            exceeds_ratio_gate(3.0, 1.0, threshold=threshold, min_delta=min_delta)

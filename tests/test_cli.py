@@ -1,9 +1,14 @@
 """Tests for the command-line interface."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
 from repro.core import fleet
+
+from .fastpath.retired_records import append_retired
 
 
 @pytest.fixture
@@ -360,6 +365,22 @@ class TestFleetCli:
         assert "error: cores must be <= 256, got 257" in capsys.readouterr().err
         assert drawn == []
 
+    def test_negative_segment_events_fails_before_drawing(
+        self, tmp_path, capsys, drawn
+    ):
+        # Any count <= 0 used to mean "one file": -3 wrote a normal run.
+        code = main(
+            ["fleet", "characterize", "--chips", "4", "--trials", "1",
+             "--cores", "2", "--out", str(tmp_path / "out"),
+             "--segment-events", "-3"]
+        )
+        assert code == 1
+        assert "error: segment events must be >= 0, got -3" in (
+            capsys.readouterr().err
+        )
+        assert drawn == []
+        assert not (tmp_path / "out").exists()
+
     def test_reduction_requires_atm_mode(self, capsys):
         code = main(
             ["fleet", "characterize", "--chips", "2",
@@ -369,6 +390,75 @@ class TestFleetCli:
         assert "reduction steps only apply to ATM mode" in (
             capsys.readouterr().err
         )
+
+
+class TestGateArguments:
+    """A NaN threshold or noise floor compares false against every ratio
+    and delta, which would switch a regression gate off; the CLI refuses
+    it, and a negative floor, before it does any work."""
+
+    @pytest.fixture
+    def benches(self, tmp_path):
+        """Two bench artifacts; fig01's wall triples from one to the next."""
+        paths = []
+        for name, wall in (("first.json", 1.0), ("second.json", 3.0)):
+            path = tmp_path / name
+            path.write_text(json.dumps({
+                "schema": "bench_solver/v3",
+                "total_wall_s": wall,
+                "experiments": [{"id": "fig01", "wall_s": wall}],
+            }))
+            paths.append(str(path))
+        return paths
+
+    def _history(self, tmp_path, benches, *gate):
+        return main(
+            ["obs", "history", "--store", str(tmp_path / "runs"),
+             "--bench", benches[0], "--bench", benches[1],
+             "--noise-floor-ms", "0", "--threshold", "2", *gate]
+        )
+
+    def test_history_flags_the_tripled_wall(self, tmp_path, capsys, benches):
+        assert self._history(tmp_path, benches) == 1
+        captured = capsys.readouterr()
+        assert "bench.fig01.wall_s" in captured.out
+        assert captured.err == ""
+
+    @pytest.mark.parametrize(
+        "gate",
+        [("--threshold", "nan"), ("--threshold", "inf"),
+         ("--noise-floor-ms", "nan"), ("--noise-floor-ms", "-5")],
+        ids=["threshold-nan", "threshold-inf", "floor-nan", "floor-negative"],
+    )
+    def test_history_rejects_a_gate_that_cannot_fire(
+        self, tmp_path, capsys, benches, gate
+    ):
+        assert self._history(tmp_path, benches, *gate) == 1
+        assert "error: " in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize(
+        "gate",
+        [("--compare-threshold", "nan"), ("--noise-floor-ms", "nan"),
+         ("--noise-floor-ms", "-5")],
+        ids=["threshold-nan", "floor-nan", "floor-negative"],
+    )
+    def test_bench_rejects_a_gate_before_running(
+        self, tmp_path, capsys, monkeypatch, benches, gate
+    ):
+        from repro.analysis import bench
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the bench ran an experiment")
+
+        monkeypatch.setattr(bench, "run_bench", refuse)
+        code = main(
+            ["bench", "--experiments", "fig01", "--compare", benches[0],
+             "--out", str(tmp_path / "bench.json"), *gate]
+        )
+        assert code == 1
+        assert "error: " in capsys.readouterr().err
+        assert not (tmp_path / "bench.json").exists()
 
 
 class TestAlertsCli:
@@ -475,11 +565,57 @@ class TestStoreCli:
         assert main(["store", "stats", store_dir]) == 0
         out = capsys.readouterr().out
         assert "records:" in out
-        assert "compiled" in out
+        assert "char" in out and "state" in out
         assert main(["store", "verify", store_dir]) == 0
         assert "0 corrupt" in capsys.readouterr().out
         assert main(["store", "prune", store_dir]) == 0
         assert "kept" in capsys.readouterr().out
+
+    def test_retired_records_keep_serving_until_pruned(self, tmp_path, capsys):
+        # A store filled while compiled tables were stored (kind 1): the
+        # warm run skips those records and misses nothing, verify passes
+        # with their bytes reclaimable, and prune reclaims them.
+        from repro.fastpath.cache import reset_solve_cache
+        from repro.fastpath.store import reset_store
+
+        def report(text):
+            return [
+                line for line in text.splitlines()
+                if not line.startswith("solve store")
+            ]
+
+        def warm_run():
+            reset_store()
+            reset_solve_cache()
+            try:
+                assert main(
+                    ["fleet", "characterize", "--chips", "2", "--trials", "2",
+                     "--cores", "2", "--solve-store", store_dir]
+                ) == 0
+            finally:
+                reset_store()
+                reset_solve_cache()
+            return capsys.readouterr().out
+
+        try:
+            store_dir, cold_out = self._populate(tmp_path, capsys)
+        finally:
+            reset_store()
+        retired = sum(
+            append_retired(Path(store_dir), bytes([chip]) * 32, bytes(720))
+            for chip in (1, 2)
+        )
+        for _ in range(2):  # before and after the prune
+            warm_out = warm_run()
+            assert report(warm_out) == report(cold_out)
+            assert ": 6 hits / 0 misses / 0 writes (6 records)" in warm_out
+            assert main(["store", "stats", store_dir]) == 0
+            assert f"reclaimable: {retired} " in capsys.readouterr().out
+            assert main(["store", "verify", store_dir]) == 0
+            assert "6 record(s) verified, 0 corrupt" in capsys.readouterr().out
+            assert main(["store", "prune", store_dir]) == 0
+            assert f"reclaimed {retired} bytes" in capsys.readouterr().out
+            retired = 0
 
     def test_verify_flags_corruption(self, tmp_path, capsys):
         from pathlib import Path

@@ -134,12 +134,13 @@ fi
 rm -f "$bench_out"
 
 echo "== solve store cold-vs-warm smoke =="
-# Three fleet characterizations into the same store, in separate
-# processes: a cold fill, a serial warm run and a pooled warm run
-# (--chunk 3 --jobs 2, whose workers serve compile_draw hits from the
-# shared read-only mmap).  Each warm run must serve everything from disk
-# (zero misses) and print a byte-identical report modulo the
-# store-traffic line.
+# Four fleet characterizations into the same store, in separate
+# processes: a cold fill, a serial warm run, a pooled warm run
+# (--chunk 3 --jobs 2, whose workers serve characterization and state
+# hits from the shared read-only mmap) and, after a prune, one more
+# serial warm run.  Each warm run must serve everything from disk (zero
+# misses) and print a byte-identical report modulo the store-traffic
+# line.
 store_tmp="$(mktemp -d)"
 if python -m repro fleet characterize --chips 8 --trials 2 --cores 4 \
         --solve-store "$store_tmp/store" >"$store_tmp/cold.txt" \
@@ -148,10 +149,13 @@ if python -m repro fleet characterize --chips 8 --trials 2 --cores 4 \
         && python -m repro fleet characterize --chips 8 --trials 2 --cores 4 \
         --chunk 3 --jobs 2 \
         --solve-store "$store_tmp/store" >"$store_tmp/pool.txt" \
-        && python -m repro store verify "$store_tmp/store" >/dev/null; then
+        && python -m repro store verify "$store_tmp/store" >/dev/null \
+        && python -m repro store prune "$store_tmp/store" >/dev/null \
+        && python -m repro fleet characterize --chips 8 --trials 2 --cores 4 \
+        --solve-store "$store_tmp/store" >"$store_tmp/pruned.txt"; then
     grep -v '^solve store' "$store_tmp/cold.txt" >"$store_tmp/cold.body"
     warm_ok=1
-    for run in warm pool; do
+    for run in warm pool pruned; do
         grep -v '^solve store' "$store_tmp/$run.txt" >"$store_tmp/$run.body"
         traffic="$(grep '^solve store' "$store_tmp/$run.txt")"
         if ! cmp -s "$store_tmp/cold.body" "$store_tmp/$run.body" \
